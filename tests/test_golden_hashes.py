@@ -11,7 +11,11 @@ The matrix deliberately covers every optimized layer: the Figure-4
 family sweep (FIFO / static / dynamic), the Figure-8 envelope family
 (including the O(n²t²) computer and its incremental ``on_arrival``
 path), the serpentine timing model, multi-drive, and runs with faults
-and QoS enabled (the masked-catalog and admission paths).
+and QoS enabled (the masked-catalog and admission paths).  The LTSP batch families are
+pinned on the single-drive Figure-4 point and on the paths it misses:
+``exact-batch`` on three drives (fractional deferred weight), under a
+starvation guard (forced decisions re-plan foreign entries), and
+``approx-greedy-cost`` on two drives.
 
 To re-pin after an *intentional* behaviour change, print fresh digests:
 
@@ -20,8 +24,8 @@ To re-pin after an *intentional* behaviour change, print fresh digests:
 
 import pytest
 
+from repro.api import run
 from repro.experiments import ExperimentConfig
-from repro.experiments.runner import run_experiment
 from repro.faults import FaultConfig, RetryPolicy
 from repro.layout.placement import Layout
 from repro.qos import QoSConfig
@@ -81,6 +85,18 @@ CASES = {
     "fig4_exact_batch": FIG4.with_(scheduler="exact-batch"),
     "fig4_approx_greedy_cost": FIG4.with_(scheduler="approx-greedy-cost"),
     "fig4_approx_best_pass": FIG4.with_(scheduler="approx-best-pass"),
+    "fig4_exact_batch_multidrive3": FIG4.with_(
+        scheduler="exact-batch", drive_count=3, queue_length=20
+    ),
+    "fig4_exact_batch_starvation_qos": FIG4.with_(
+        scheduler="exact-batch", qos=QoSConfig(starvation_age_s=3000.0)
+    ),
+    "fig4_approx_greedy_cost_multidrive": FIG4.with_(
+        scheduler="approx-greedy-cost",
+        drive_count=2,
+        tape_count=8,
+        capacity_mb=2000.0,
+    ),
 }
 
 #: sha256 of each case's report, pinned on the pre-optimization tree.
@@ -100,7 +116,17 @@ GOLDEN = {
     "fig4_exact_batch": "c149b3b26b387e8923931e3bb06d504fff6fa15a83de5abcb47aa8a165b56b3a",
     "fig4_approx_greedy_cost": "bac0e5590567174a28530f5a53fb0ddc6c1c926b861de0cc5012757d5dedf8cd",
     "fig4_approx_best_pass": "80024f04ff6ad040a441230f5509d2a6bd186a1c94a433223a229802f54b483b",
+    # Batch-family paths the Figure-4 pins miss, pinned before the
+    # tape-level pruning and shared transition matrix landed.
+    "fig4_exact_batch_multidrive3": "5648c0d7a50efbf7e4551d32eee26ba3e9805076616be7bbc3ff3809b76e182e",
+    "fig4_exact_batch_starvation_qos": "593ccbfce4fa4aca23a57b487535f0ecdc4795f36c26b69b048a06a0f0a09335",
+    "fig4_approx_greedy_cost_multidrive": "66f0c8885563d998cbe9d6da4f0c293874e930d7787a3def11b9cf3b0ea914d4",
 }
+
+
+#: The suite runs through ``repro.api.run``; a deprecated shim sneaking
+#: back in fails it.
+pytestmark = pytest.mark.filterwarnings("error::DeprecationWarning")
 
 
 def test_case_matrix_is_fully_pinned():
@@ -109,7 +135,7 @@ def test_case_matrix_is_fully_pinned():
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_hash(name):
-    digest = report_digest(run_experiment(CASES[name]).report)
+    digest = report_digest(run(CASES[name]).report)
     assert digest == GOLDEN[name], (
         f"{name}: report digest drifted — scheduler decisions or metrics "
         f"are no longer bit-identical to the pinned pre-optimization run "
@@ -119,6 +145,6 @@ def test_golden_hash(name):
 
 def test_digest_is_repeatable_within_process():
     """Two runs of the same config in one process hash identically."""
-    first = report_digest(run_experiment(CASES["fig4_fifo"]).report)
-    second = report_digest(run_experiment(CASES["fig4_fifo"]).report)
+    first = report_digest(run(CASES["fig4_fifo"]).report)
+    second = report_digest(run(CASES["fig4_fifo"]).report)
     assert first == second == GOLDEN["fig4_fifo"]
