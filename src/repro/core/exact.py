@@ -49,13 +49,19 @@ from .base import MajorDecision, Scheduler, SchedulerContext, coalesce_entries
 from .policies import jukebox_order
 from .sweep import ServiceEntry, SweepPhase
 
-#: Transition evaluations per batch optimization before the exact search
-#: stops and returns the best order found so far.  Exhaustive search of a
-#: batch of ``m`` distinct blocks needs at most ``2^m * m^2 / 2`` nodes
-#: in the worst case; the memo and lower-bound pruning reach far fewer,
-#: so the default keeps batches of ~10 blocks exact while bounding the
-#: cost of pathological batches.
+#: Search nodes (partial orders extended by one read) per batch
+#: optimization before the exact search stops and returns the best order
+#: found so far.  Exhaustive search of a batch of ``m`` distinct blocks
+#: visits at most ``2^m * m^2 / 2`` nodes in the worst case; the memo and
+#: lower-bound pruning reach far fewer, so the default keeps batches of
+#: ~10 blocks exact while bounding the cost of pathological batches.
 DEFAULT_NODE_BUDGET = 50_000
+
+#: Relative slack on the tape-level lower bound.  The bound and the
+#: evaluated cost sum the same terms in different orders, so a tight
+#: bound can land an ulp above the cost; the slack keeps rounding from
+#: ever pruning the winning tape.
+_BOUND_SLACK = 1e-9
 
 
 class _BatchCost:
@@ -141,61 +147,119 @@ def order_cost(
     return _order_cost(model, head_mb, order, deferred_weight, startup_pending)
 
 
+def _split_passes(
+    entries: Sequence[ServiceEntry], head_mb: float
+) -> Tuple[List[int], List[int]]:
+    """Indices of ``entries`` at/after and before ``head_mb``, each in the
+    order a sweep pass reads them (forward ascending, reverse descending)."""
+    forward = sorted(
+        (i for i, entry in enumerate(entries) if entry.position_mb >= head_mb),
+        key=lambda i: (entries[i].position_mb, entries[i].block_id),
+    )
+    reverse = sorted(
+        (i for i, entry in enumerate(entries) if entry.position_mb < head_mb),
+        key=lambda i: (-entries[i].position_mb, entries[i].block_id),
+    )
+    return forward, reverse
+
+
 def sweep_order(
     entries: Sequence[ServiceEntry], head_mb: float
 ) -> List[ServiceEntry]:
     """The paper's forward-then-reverse pass over ``entries``."""
-    forward = sorted(
-        (entry for entry in entries if entry.position_mb >= head_mb),
-        key=lambda entry: (entry.position_mb, entry.block_id),
-    )
-    reverse = sorted(
-        (entry for entry in entries if entry.position_mb < head_mb),
-        key=lambda entry: (-entry.position_mb, entry.block_id),
-    )
-    return forward + reverse
+    forward, reverse = _split_passes(entries, head_mb)
+    return [entries[i] for i in forward + reverse]
 
 
 def reverse_first_order(
     entries: Sequence[ServiceEntry], head_mb: float
 ) -> List[ServiceEntry]:
     """The mirrored pass: reverse phase first, then the forward phase."""
-    forward = sorted(
-        (entry for entry in entries if entry.position_mb >= head_mb),
-        key=lambda entry: (entry.position_mb, entry.block_id),
-    )
-    reverse = sorted(
-        (entry for entry in entries if entry.position_mb < head_mb),
-        key=lambda entry: (-entry.position_mb, entry.block_id),
-    )
-    return reverse + forward
+    forward, reverse = _split_passes(entries, head_mb)
+    return [entries[i] for i in reverse + forward]
 
 
-def _greedy_order(
-    model: _BatchCost,
-    head_mb: float,
-    entries: Sequence[ServiceEntry],
-    startup_pending: bool,
-) -> List[ServiceEntry]:
-    remaining = sorted(
-        entries, key=lambda entry: (entry.position_mb, entry.block_id)
+class _Transitions:
+    """Every transition cost of one batch, built once.
+
+    The drive state after reading block ``i`` is fully determined (head
+    just past ``i``, startup cleared), so every transition cost is
+    precomputable: one ``count``-vector for the root state and one
+    ``count x count`` matrix between reads, plus per-predecessor child
+    orders (cheapest time-per-weight first).  Orders are index lists
+    into ``items`` (the entries sorted by position, then block id).
+    """
+
+    __slots__ = (
+        "items",
+        "weights",
+        "root_cost",
+        "step_cost",
+        "root_rank",
+        "step_rank",
     )
-    head = float(head_mb)
-    startup = startup_pending
-    order: List[ServiceEntry] = []
-    while remaining:
-        best_index = 0
-        best_key: Optional[Tuple[float, float]] = None
-        for index, entry in enumerate(remaining):
-            seconds, _, _ = model.step(head, startup, entry.position_mb)
-            key = (seconds / max(_entry_weight(entry), 1.0), entry.position_mb)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_index = index
-        entry = remaining.pop(best_index)
-        _, head, startup = model.step(head, startup, entry.position_mb)
-        order.append(entry)
-    return order
+
+    def __init__(
+        self,
+        model: _BatchCost,
+        head_mb: float,
+        entries: Sequence[ServiceEntry],
+        startup_pending: bool,
+    ) -> None:
+        items = sorted(entries, key=lambda entry: (entry.position_mb, entry.block_id))
+        count = len(items)
+        weights = [_entry_weight(entry) for entry in items]
+        positions = [entry.position_mb for entry in items]
+
+        def ranked(costs: Sequence[float]) -> List[int]:
+            return sorted(
+                range(count),
+                key=lambda j: (costs[j] / max(weights[j], 1.0), positions[j]),
+            )
+
+        self.items = items
+        self.weights = weights
+        self.root_cost = [
+            model.step(float(head_mb), startup_pending, position)[0]
+            for position in positions
+        ]
+        self.step_cost = [
+            [
+                model.step(position + model.block_mb, False, target)[0]
+                for target in positions
+            ]
+            for position in positions
+        ]
+        self.root_rank = ranked(self.root_cost)
+        self.step_rank = [ranked(row) for row in self.step_cost]
+
+    def order_cost(self, order: Sequence[int], deferred_weight: float) -> float:
+        """The objective ``J`` of ``order``; same arithmetic as
+        :func:`_order_cost`, so the two agree bit for bit."""
+        weights = self.weights
+        pending_weight = deferred_weight + sum(weights[i] for i in order)
+        costs = self.root_cost
+        total = 0.0
+        for i in order:
+            total += costs[i] * pending_weight
+            pending_weight -= weights[i]
+            costs = self.step_cost[i]
+        return total
+
+    def greedy_order(self) -> List[int]:
+        """Minimum-latency greedy: from each state, the first unread
+        block of its time-per-request ranking."""
+        unread = [True] * len(self.items)
+        ranked = self.root_rank
+        order: List[int] = []
+        for _ in range(len(unread)):
+            for index in ranked:
+                if unread[index]:
+                    break
+            unread[index] = False
+            order.append(index)
+            ranked = self.step_rank[index]
+        return order
 
 
 def greedy_cost_order(
@@ -206,9 +270,10 @@ def greedy_cost_order(
     startup_pending: bool = True,
 ) -> List[ServiceEntry]:
     """Minimum-latency greedy: cheapest time-per-request read next."""
-    return _greedy_order(
+    transitions = _Transitions(
         _BatchCost(timing, block_mb), head_mb, entries, startup_pending
     )
+    return [transitions.items[i] for i in transitions.greedy_order()]
 
 
 def best_pass_order(
@@ -265,55 +330,37 @@ def optimal_order(
     as good as every approximation policy in this module.
     """
     model = _BatchCost(timing, block_mb)
-    items = sorted(entries, key=lambda entry: (entry.position_mb, entry.block_id))
+    transitions = _Transitions(model, head_mb, entries, startup_pending)
+    items = transitions.items
     count = len(items)
-    if count == 0:
-        return BatchPlan(order=(), cost_s=0.0, exact=True, nodes=0)
-    weights = [_entry_weight(entry) for entry in items]
-    positions = [entry.position_mb for entry in items]
     delta = float(deferred_weight)
+    if count <= 1:
+        # Nothing to sequence: the only order is optimal without a search.
+        return BatchPlan(
+            order=tuple(items),
+            cost_s=transitions.order_cost(range(count), delta),
+            exact=True,
+            nodes=0,
+        )
+    weights = transitions.weights
     total_weight = sum(weights) + delta
 
-    best_order: List[ServiceEntry] = []
+    forward, reverse = _split_passes(items, head_mb)
+    best_order: List[int] = []
     best_cost = float("inf")
-    for seed in (
-        sweep_order(items, head_mb),
-        reverse_first_order(items, head_mb),
-        _greedy_order(model, head_mb, items, startup_pending),
-    ):
-        cost = _order_cost(model, head_mb, seed, delta, startup_pending)
+    for seed in (forward + reverse, reverse + forward, transitions.greedy_order()):
+        cost = transitions.order_cost(seed, delta)
         if cost < best_cost:
             best_cost = cost
             best_order = seed
 
-    # The drive state after reading block ``i`` is fully determined
-    # (head just past ``i``, startup cleared), so every transition cost
-    # is precomputable: one ``count``-vector for the root state and one
-    # ``count x count`` matrix between reads, plus per-predecessor child
-    # orders (cheapest time-per-weight first) hoisted out of the search.
-    def _ranked(costs: Sequence[float]) -> List[int]:
-        return sorted(
-            range(count),
-            key=lambda j: (costs[j] / max(weights[j], 1.0), positions[j]),
-        )
-
-    root_cost = [
-        model.step(float(head_mb), startup_pending, positions[j])[0]
-        for j in range(count)
-    ]
-    step_cost = [
-        [
-            model.step(positions[i] + model.block_mb, False, positions[j])[0]
-            for j in range(count)
-        ]
-        for i in range(count)
-    ]
-    root_rank = _ranked(root_cost)
-    step_rank = [_ranked(step_cost[i]) for i in range(count)]
-
+    root_cost = transitions.root_cost
+    step_cost = transitions.step_cost
+    root_rank = transitions.root_rank
+    step_rank = transitions.step_rank
     memo = {}
     read_plain = model.read_plain_s
-    path: List[ServiceEntry] = []
+    path: List[int] = []
     nodes = 0
     exhausted = False
 
@@ -352,7 +399,7 @@ def optimal_order(
             if seen is not None and child_accrued >= seen:
                 continue
             memo[key] = child_accrued
-            path.append(items[index])
+            path.append(index)
             if child_remaining == 0:
                 best_cost = child_accrued
                 best_order = list(path)
@@ -368,11 +415,39 @@ def optimal_order(
 
     search(0, -1, 0.0, total_weight, count)
     return BatchPlan(
-        order=tuple(best_order),
+        order=tuple(items[i] for i in best_order),
         cost_s=best_cost,
         exact=not exhausted,
         nodes=nodes,
     )
+
+
+def _tape_lower_bound(
+    model: _BatchCost,
+    head_mb: float,
+    entries: Sequence[ServiceEntry],
+    served: float,
+    deferred_weight: float,
+    overhead_s: float,
+) -> float:
+    """Lower bound on a tape's normalized decision cost, any read order.
+
+    All ``served + deferred_weight`` requests wait through the switch
+    overhead and the first read, which costs at least the cheapest root
+    transition (a sweep starts with the read startup pending).  Each of
+    the other ``k - 1`` reads costs at least one plain read, while at
+    least ``deferred_weight + m`` requests still wait when ``m`` blocks
+    remain.  Dividing by ``served`` matches the per-request
+    normalization of :meth:`_BatchScheduler.major_reschedule`.
+    """
+    charged = served + deferred_weight
+    first_read = min(
+        model.step(float(head_mb), True, entry.position_mb)[0] for entry in entries
+    )
+    later_waiting = sum(deferred_weight + m for m in range(1, len(entries)))
+    return (
+        overhead_s * charged + charged * first_read + model.read_plain_s * later_waiting
+    ) / served
 
 
 class OrderedServiceList:
@@ -483,7 +558,9 @@ class _BatchScheduler(Scheduler):
     serve *all* pending requests the chosen tape can satisfy — but
     plans the read order with the family's sequencing policy and picks
     the tape minimizing the full objective ``J`` (switch overhead is
-    charged against every pending request).  The incremental scheduler
+    charged against every pending request).  Tapes are planned
+    cheapest-lower-bound first, and a tape whose bound cannot beat the
+    best tape so far is never planned.  The incremental scheduler
     absorbs arrivals for the mounted tape and re-plans the remainder.
     """
 
@@ -508,6 +585,14 @@ class _BatchScheduler(Scheduler):
         """The family's sequencing policy; returns an execution order."""
         raise NotImplementedError
 
+    def _planned_cost(
+        self, head_mb: float, order: List[ServiceEntry], deferred_weight: float
+    ) -> float:
+        """``J`` of the order :meth:`plan` just returned."""
+        return order_cost(
+            self._timing, head_mb, order, self._block_mb, deferred_weight
+        )
+
     def major_reschedule(self, context: SchedulerContext) -> Optional[MajorDecision]:
         if len(context.pending) == 0:
             return None
@@ -516,6 +601,7 @@ class _BatchScheduler(Scheduler):
         block_mb = context.block_mb
         self._timing = timing
         self._block_mb = block_mb
+        model = _BatchCost(timing, block_mb)
         total = float(len(context.pending))
         mounted = context.mounted_id
         anchor = mounted if mounted is not None else 0
@@ -525,14 +611,14 @@ class _BatchScheduler(Scheduler):
         # no-op; under the multi-drive service it stops the objective
         # from over-penalizing deferral and over-absorbing per sweep.
         defer_scale = 1.0 / float(max(context.drive_count, 1))
-        best_cost: Optional[float] = None
-        best: Optional[Tuple[int, List[ServiceEntry], List[Request], float, float]] = None
-        for tape_id in jukebox_order(context.tape_count, anchor):
+        options = []
+        for rank, tape_id in enumerate(jukebox_order(context.tape_count, anchor)):
             requests = candidates.get(tape_id)
             if not requests:
                 continue
             entries = coalesce_entries(requests, tape_id, context.catalog)
-            deferred = (total - float(len(requests))) * defer_scale
+            served = float(len(requests))
+            deferred = (total - served) * defer_scale
             if tape_id == mounted:
                 head = context.head_mb
                 overhead_s = 0.0
@@ -540,28 +626,43 @@ class _BatchScheduler(Scheduler):
                 head = 0.0
                 rewind_from = context.head_mb if mounted is not None else 0.0
                 overhead_s = timing.switch_with_rewind(rewind_from)
+            bound = _tape_lower_bound(
+                model, head, entries, served, deferred, overhead_s
+            )
+            options.append(
+                (bound, rank, tape_id, requests, entries, head, deferred, overhead_s)
+            )
+        # Tape-level branch and bound: plan tapes in ascending bound order
+        # and stop once no remaining tape's bound can reach the incumbent.
+        # Minimizing (cost, jukebox rank) picks the same tape as planning
+        # every tape and keeping the first strict minimum in jukebox order.
+        options.sort(key=lambda option: option[:2])
+        best: Optional[
+            Tuple[float, int, int, List[ServiceEntry], List[Request], float, float]
+        ] = None
+        for option in options:
+            bound, rank, tape_id, requests, entries, head, deferred, overhead_s = option
+            if best is not None and bound > best[0] * (1.0 + _BOUND_SLACK):
+                break
             order = self.plan(timing, head, entries, block_mb, deferred)
             charged = float(len(requests)) + deferred
-            cost = overhead_s * charged + order_cost(
-                timing, head, order, block_mb, deferred_weight=deferred
-            )
+            cost = overhead_s * charged + self._planned_cost(head, order, deferred)
             # Renewal-reward normalization: competing sweeps serve
             # different numbers of requests, so the steady-state-optimal
             # choice minimizes waiting cost *per request served*, not
             # the absolute cost of one decision (which would favour
             # tiny, quick sweeps and starve throughput).
             cost /= float(len(requests))
-            if best_cost is None or cost < best_cost:
-                best_cost = cost
-                best = (tape_id, order, requests, head, deferred)
+            if best is None or (cost, rank) < best[:2]:
+                best = (cost, rank, tape_id, order, requests, head, deferred)
         if best is None:
             return None
-        tape_id, order, requests, head, deferred = best
+        cost, _, tape_id, order, requests, head, deferred = best
         context.pending.remove_many(requests)
         self._planned = order
         self._planned_head = head
         self._deferred = deferred
-        self.last_decision_cost = best_cost
+        self.last_decision_cost = cost
         return MajorDecision(tape_id=tape_id, entries=list(order))
 
     def on_arrival(self, context: SchedulerContext, request: Request) -> bool:
@@ -656,6 +757,13 @@ class ExactBatchScheduler(_BatchScheduler):
         )
         self.last_plan = plan
         return list(plan.order)
+
+    def _planned_cost(
+        self, head_mb: float, order: List[ServiceEntry], deferred_weight: float
+    ) -> float:
+        """The search accrues ``J`` with :func:`order_cost`'s arithmetic, so
+        the plan's cost equals re-costing its order bit for bit."""
+        return self.last_plan.cost_s
 
 
 class GreedyCostScheduler(_BatchScheduler):

@@ -5,12 +5,17 @@ instance small enough to enumerate: for batches of up to 8 distinct
 blocks, :func:`optimal_order` must match the exhaustive minimum over all
 permutations of the drive-exact objective, and every heuristic order
 (sweep passes, greedy, best-pass) must cost at least as much.
+
+The tape-level pruning of ``major_reschedule`` is checked against its
+twin, the every-tape loop, on generated pending sets: same tape, same
+order, bit-identical decision cost.
 """
 
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     BatchPlan,
@@ -27,6 +32,9 @@ from repro.core import (
     reverse_first_order,
     sweep_order,
 )
+from repro.core.base import coalesce_entries
+from repro.core.exact import _BatchCost, _tape_lower_bound
+from repro.core.policies import jukebox_order
 from repro.core.sweep import ServiceEntry
 from repro.tape.timing import DriveTimingModel
 from repro.workload import RequestFactory
@@ -226,6 +234,69 @@ class TestOptimalOrder:
         plan = optimal_order(TIMING, 0.0, heavy, BLOCK_MB)
         assert plan.order[0].position_mb == 2000.0
 
+    @pytest.mark.parametrize("count", range(1, 8))
+    def test_plan_cost_is_bit_identical_to_order_cost(self, count):
+        """``BatchPlan.cost_s`` can stand in for re-costing the order: the
+        search and the seeds accrue ``J`` with order_cost's arithmetic,
+        fractional deferred weights included."""
+        rng = random.Random(200 + count)
+        for _ in range(12):
+            spec, head, deferred, startup = random_instance(rng, count)
+            deferred /= rng.choice([1.0, 2.0, 3.0])
+            entries = make_entries(spec)
+            plan = optimal_order(
+                TIMING,
+                head,
+                entries,
+                BLOCK_MB,
+                deferred_weight=deferred,
+                startup_pending=startup,
+            )
+            assert plan.cost_s == order_cost(
+                TIMING,
+                head,
+                plan.order,
+                BLOCK_MB,
+                deferred_weight=deferred,
+                startup_pending=startup,
+            )
+
+    @pytest.mark.parametrize("count", range(1, 9))
+    def test_greedy_matches_stepwise_reference(self, count):
+        """The greedy read from the shared transition matrix equals the
+        step-by-step greedy, tie-breaks included."""
+        model = _BatchCost(TIMING, BLOCK_MB)
+
+        def stepwise(head, entries, startup):
+            remaining = sorted(
+                entries, key=lambda entry: (entry.position_mb, entry.block_id)
+            )
+            order = []
+            while remaining:
+                best_index, best_key = 0, None
+                for index, entry in enumerate(remaining):
+                    seconds = model.step(head, startup, entry.position_mb)[0]
+                    key = (
+                        seconds / max(float(len(entry.requests)), 1.0),
+                        entry.position_mb,
+                    )
+                    if best_key is None or key < best_key:
+                        best_index, best_key = index, key
+                entry = remaining.pop(best_index)
+                _, head, startup = model.step(head, startup, entry.position_mb)
+                order.append(entry)
+            return order
+
+        rng = random.Random(300 + count)
+        for _ in range(12):
+            spec, head, _, startup = random_instance(rng, count)
+            entries = make_entries(spec)
+            got = greedy_cost_order(
+                TIMING, head, entries, BLOCK_MB, startup_pending=startup
+            )
+            expected = stepwise(float(head), entries, startup)
+            assert [id(entry) for entry in got] == [id(entry) for entry in expected]
+
 
 class TestSchedulerDecisions:
     @pytest.fixture
@@ -403,3 +474,122 @@ class TestOrderedServiceList:
         assert service.insert(extra)
         assert planned, "insert must trigger a replan of the remainder"
         assert len(service) == 3
+
+
+def reference_decision(scheduler, context):
+    """The every-tape loop the pruned ``major_reschedule`` replaced.
+
+    Plans every candidate tape in jukebox order, re-costs each order with
+    :func:`order_cost` and keeps the first strict minimum.  Asserts on the
+    way that the tape-level lower bound never exceeds the evaluated cost.
+    Leaves ``context`` untouched.
+    """
+    timing = context.jukebox.timing
+    block_mb = context.block_mb
+    model = _BatchCost(timing, block_mb)
+    candidates = context.pending.candidate_tapes()
+    total = float(len(context.pending))
+    mounted = context.mounted_id
+    defer_scale = 1.0 / float(max(context.drive_count, 1))
+    best = None
+    anchor = mounted if mounted is not None else 0
+    for tape_id in jukebox_order(context.tape_count, anchor):
+        requests = candidates.get(tape_id)
+        if not requests:
+            continue
+        entries = coalesce_entries(requests, tape_id, context.catalog)
+        served = float(len(requests))
+        deferred = (total - served) * defer_scale
+        if tape_id == mounted:
+            head, overhead_s = context.head_mb, 0.0
+        else:
+            rewind_from = context.head_mb if mounted is not None else 0.0
+            head, overhead_s = 0.0, timing.switch_with_rewind(rewind_from)
+        order = scheduler.plan(timing, head, entries, block_mb, deferred)
+        cost = overhead_s * (served + deferred) + order_cost(
+            timing, head, order, block_mb, deferred_weight=deferred
+        )
+        cost /= served
+        bound = _tape_lower_bound(model, head, entries, served, deferred, overhead_s)
+        # The bound and the cost sum the same terms in different orders,
+        # so allow rounding, far inside the scheduler's pruning slack.
+        assert bound <= cost * (1.0 + 1e-12), (tape_id, bound, cost)
+        if best is None or cost < best[2]:
+            best = (tape_id, order, cost)
+    return best
+
+
+@st.composite
+def pending_sets(draw):
+    """A jukebox of 2-8 tapes, replicated blocks, a pending set over them,
+    an optional mounted tape with a head position, and a drive count."""
+    tape_count = draw(st.integers(min_value=2, max_value=8))
+    # Positions on a 16 MB grid (so reads can stream back to back) or
+    # anywhere on the tape.
+    position = st.one_of(
+        st.integers(min_value=0, max_value=60).map(lambda slot: slot * 16.0),
+        st.floats(min_value=0.0, max_value=6000.0),
+    )
+    block_count = draw(st.integers(min_value=1, max_value=10))
+    placements = [
+        [
+            (tape_id, draw(position))
+            for tape_id in draw(
+                st.lists(
+                    st.integers(min_value=0, max_value=tape_count - 1),
+                    min_size=1,
+                    max_size=3,
+                    unique=True,
+                )
+            )
+        ]
+        for _ in range(block_count)
+    ]
+    requested = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=block_count - 1),
+            min_size=1,
+            max_size=14,
+        )
+    )
+    mounted = draw(st.none() | st.integers(min_value=0, max_value=tape_count - 1))
+    head = draw(position) if mounted is not None else 0.0
+    drive_count = draw(st.integers(min_value=1, max_value=3))
+    return catalog_from(placements), tape_count, requested, mounted, head, drive_count
+
+
+class TestTapePruning:
+    @settings(max_examples=150, deadline=None)
+    @given(instance=pending_sets())
+    def test_pruned_decision_matches_every_tape_loop(self, instance):
+        catalog, tape_count, requested, mounted, head, drive_count = instance
+        factory = RequestFactory()
+        requests = [
+            factory.create(block_id=block_id, arrival_s=0.0)
+            for block_id in requested
+        ]
+
+        def fresh_context():
+            context = make_context(
+                catalog, tape_count=tape_count, mounted=mounted, head_mb=head
+            )
+            context.drive_count = drive_count
+            for request in requests:
+                context.pending.append(request)
+            return context
+
+        def signature(order):
+            return [
+                (entry.block_id, entry.position_mb, [id(r) for r in entry.requests])
+                for entry in order
+            ]
+
+        for name in ("exact-batch", "approx-greedy-cost", "approx-best-pass"):
+            expected_tape, expected_order, expected_cost = reference_decision(
+                make_scheduler(name), fresh_context()
+            )
+            scheduler = make_scheduler(name)
+            decision = scheduler.major_reschedule(fresh_context())
+            assert decision.tape_id == expected_tape, name
+            assert signature(decision.entries) == signature(expected_order), name
+            assert scheduler.last_decision_cost == expected_cost, name

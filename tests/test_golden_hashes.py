@@ -11,11 +11,11 @@ The matrix deliberately covers every optimized layer: the Figure-4
 family sweep (FIFO / static / dynamic), the Figure-8 envelope family
 (including the O(n²t²) computer and its incremental ``on_arrival``
 path), the serpentine timing model, multi-drive, and runs with faults
-and QoS enabled (the masked-catalog and admission paths).  The LTSP batch families are
-pinned on the single-drive Figure-4 point and on the paths it misses:
-``exact-batch`` on three drives (fractional deferred weight), under a
-starvation guard (forced decisions re-plan foreign entries), and
-``approx-greedy-cost`` on two drives.
+and QoS enabled (the masked-catalog and admission paths).  The LTSP
+batch families are pinned on the single-drive Figure-4 point and on the
+paths it misses: ``exact-batch`` on three drives (fractional deferred
+weight) and under a starvation guard (forced decisions re-plan foreign
+entries), and ``approx-greedy-cost`` on two drives.
 
 To re-pin after an *intentional* behaviour change, print fresh digests:
 
