@@ -933,7 +933,7 @@ class EnvelopeScheduler(Scheduler):
             head_mb=context.head_mb,
             candidates=satisfiable,
             positions_for=positions_for,
-            oldest=context.pending.oldest(),
+            resolve_oldest=context.pending.oldest,
         )
         tape_id = self._policy.select(selection)
         if tape_id is None:  # pragma: no cover - envelope covers all requests

@@ -5,20 +5,26 @@ policies look at its head.  Schedulers query it by tape; those queries
 used to be linear scans over all pending requests, which made every
 ``candidate_tapes()``/``requests_for_tape()`` call O(n·replicas).  The
 list now maintains a per-tape index updated on append/remove, so by-tape
-queries are proportional to their result size.
+queries are proportional to their result size.  The index also stores
+each copy's position, resolved once at append, for the schedulers'
+bandwidth estimates (:meth:`PendingList.positions_on`).
 
 The index is built from the catalog's replica map at append time.  With
-fault masking the catalog's answers can change *after* a request is
-appended — but masks only ever grow during a run (tapes fail, replicas
-are discovered bad; nothing recovers), so the append-time index is a
-superset of the live answer and a per-query ``has_replica_on`` filter
-(only taken when the catalog declares ``dynamic_replicas``) restores
-exact equivalence with the original scan.
+fault masking (a catalog declaring ``dynamic_replicas``) the catalog's
+answers can change *after* a request is appended, so the list subscribes
+to mask growth through the catalog's ``add_mask_listener`` and deletes
+each newly hidden (request, tape) entry the moment its tape fails or its
+copy is condemned.  Masks only ever grow during a run (tapes fail,
+replicas are discovered bad; nothing recovers), so the pruned index
+holds exactly the copies the live masked catalog still shows, in the
+same arrival order, without re-checking the masks per query.  A request
+whose last live copy is pruned, or that arrives with none, is recorded
+as lost (:meth:`PendingList.lost`) for the recovery layer to fail.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set
 
 from ..layout.catalog import BlockCatalog
 from ..workload.requests import Request
@@ -35,12 +41,21 @@ class PendingList:
         #: order, so dict values enumerate in the order the old linear
         #: scan produced.
         self._by_tape: Dict[int, Dict[int, Request]] = {}
-        #: request_id -> tape ids indexed at append time (the removal
-        #: key: with a masking catalog, replicas_of may shrink later).
-        self._tapes_of: Dict[int, Tuple[int, ...]] = {}
-        #: True when the catalog's replica answers can change mid-run
-        #: (fault masking); forces per-query re-filtering.
-        self._dynamic = bool(getattr(catalog, "dynamic_replicas", False))
+        #: tape_id -> {request_id: position_mb}, keyed and ordered
+        #: exactly like ``_by_tape[tape_id]``.
+        self._positions: Dict[int, Dict[int, float]] = {}
+        #: request_id -> tapes still holding a live indexed copy.
+        self._tapes_of: Dict[int, Set[int]] = {}
+        #: Ids of pending requests with no live copy left.
+        self._lost: Set[int] = set()
+        if getattr(catalog, "dynamic_replicas", False):
+            subscribe = getattr(catalog, "add_mask_listener", None)
+            if subscribe is None:
+                raise TypeError(
+                    "a catalog with dynamic_replicas must provide "
+                    "add_mask_listener so the pending index can follow its masks"
+                )
+            subscribe(self)
         #: Membership listeners (e.g. the envelope scheduler's
         #: :class:`~repro.core.envelope.EnvelopeIndex`).  Every mutation
         #: path — scheduler removals, QoS expiry, starvation promotion,
@@ -86,17 +101,20 @@ class PendingList:
             raise ValueError(f"request {request_id} already pending")
         self._requests.append(request)
         self._by_id[request_id] = request
-        tapes = tuple(
-            replica.tape_id
-            for replica in self._catalog.replicas_of(request.block_id)
-        )
-        self._tapes_of[request_id] = tapes
+        tapes = self._tapes_of[request_id] = set()
         by_tape = self._by_tape
-        for tape_id in tapes:
+        positions = self._positions
+        for replica in self._catalog.replicas_of(request.block_id):
+            tape_id = replica.tape_id
+            tapes.add(tape_id)
             bucket = by_tape.get(tape_id)
             if bucket is None:
                 bucket = by_tape[tape_id] = {}
+                positions[tape_id] = {}
             bucket[request_id] = request
+            positions[tape_id][request_id] = replica.position_mb
+        if not tapes:
+            self._lost.add(request_id)
         for listener in self._listeners:
             listener.on_pending_append(request)
 
@@ -105,38 +123,29 @@ class PendingList:
         return self._requests[0] if self._requests else None
 
     def requests_for_tape(self, tape_id: int) -> List[Request]:
-        """Pending requests with a replica on ``tape_id`` (arrival order)."""
+        """Pending requests with a live replica on ``tape_id`` (arrival order)."""
         bucket = self._by_tape.get(tape_id)
-        if not bucket:
-            return []
-        if self._dynamic:
-            catalog = self._catalog
-            return [
-                request
-                for request in bucket.values()
-                if catalog.has_replica_on(request.block_id, tape_id)
-            ]
-        return list(bucket.values())
+        return list(bucket.values()) if bucket else []
+
+    def positions_on(self, tape_id: int) -> List[float]:
+        """Positions of :meth:`requests_for_tape`'s copies, in the same order."""
+        bucket = self._positions.get(tape_id)
+        return list(bucket.values()) if bucket else []
 
     def candidate_tapes(self) -> Dict[int, List[Request]]:
-        """Map ``tape_id -> pending requests with a replica there``."""
-        if self._dynamic:
-            catalog = self._catalog
-            out: Dict[int, List[Request]] = {}
-            for tape_id, bucket in self._by_tape.items():
-                live = [
-                    request
-                    for request in bucket.values()
-                    if catalog.has_replica_on(request.block_id, tape_id)
-                ]
-                if live:
-                    out[tape_id] = live
-            return out
+        """Map ``tape_id -> pending requests with a live replica there``."""
         return {
             tape_id: list(bucket.values())
             for tape_id, bucket in self._by_tape.items()
             if bucket
         }
+
+    def lost(self) -> List[Request]:
+        """Pending requests with no live copy left, in arrival order."""
+        lost = self._lost
+        if not lost:
+            return []
+        return [request for request in self._requests if request.request_id in lost]
 
     def remove_many(self, requests: List[Request]) -> None:
         """Remove ``requests`` (they have been scheduled for service)."""
@@ -148,13 +157,47 @@ class PendingList:
             request for request in self._requests if request.request_id not in removing
         ]
         by_tape = self._by_tape
+        positions = self._positions
         for request_id in removing:
             del self._by_id[request_id]
             for tape_id in self._tapes_of.pop(request_id):
                 del by_tape[tape_id][request_id]
+                del positions[tape_id][request_id]
+        self._lost -= removing
         for listener in self._listeners:
             listener.on_pending_remove(requests)
 
     def snapshot(self) -> List[Request]:
         """Copy of the pending requests in arrival order."""
         return list(self._requests)
+
+    # -- mask listener (fault-masked catalogs) --------------------------
+    def on_tape_failed(self, tape_id: int) -> None:
+        """Drop every indexed copy on ``tape_id`` (the tape left service)."""
+        self._positions.pop(tape_id, None)
+        bucket = self._by_tape.pop(tape_id, None)
+        if bucket:
+            self._hide(tape_id, bucket.values())
+
+    def on_replica_condemned(self, tape_id: int, block_id: int) -> None:
+        """Drop the indexed copies of ``block_id`` on ``tape_id``."""
+        bucket = self._by_tape.get(tape_id)
+        if not bucket:
+            return
+        hidden = [
+            request for request in bucket.values() if request.block_id == block_id
+        ]
+        positions = self._positions[tape_id]
+        for request in hidden:
+            del bucket[request.request_id]
+            del positions[request.request_id]
+        self._hide(tape_id, hidden)
+
+    def _hide(self, tape_id: int, requests: Iterable[Request]) -> None:
+        """Unlink ``tape_id`` from ``requests``; record the ones now lost."""
+        tapes_of = self._tapes_of
+        for request in requests:
+            tapes = tapes_of[request.request_id]
+            tapes.remove(tape_id)
+            if not tapes:
+                self._lost.add(request.request_id)

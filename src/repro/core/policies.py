@@ -31,7 +31,10 @@ class SelectionContext:
     ``candidates`` maps each tape to the pending requests it can satisfy;
     ``positions_for`` resolves the physical positions those requests
     would be read from on that tape (the envelope algorithm restricts
-    this to the upper envelope).
+    this to the upper envelope).  ``resolve_oldest`` returns the oldest
+    pending request; it is called only when a policy reads
+    :attr:`oldest`, so policies that ignore request age never pay for
+    it.
     """
 
     timing: DriveTimingModel
@@ -41,7 +44,12 @@ class SelectionContext:
     head_mb: float
     candidates: Dict[int, List[Request]]
     positions_for: Callable[[int], Sequence[float]]
-    oldest: Optional[Request] = None
+    resolve_oldest: Callable[[], Optional[Request]]
+
+    @property
+    def oldest(self) -> Optional[Request]:
+        """The oldest pending request (``None`` when there is none)."""
+        return self.resolve_oldest()
 
     @property
     def anchor(self) -> int:
@@ -143,7 +151,7 @@ class _OldestFirst(TapeSelectionPolicy):
             head_mb=context.head_mb,
             candidates=eligible,
             positions_for=context.positions_for,
-            oldest=oldest,
+            resolve_oldest=lambda: oldest,
         )
         return self._inner.select(narrowed)
 

@@ -8,7 +8,7 @@ to the pending list, even when they are for the current tape.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from .base import MajorDecision, Scheduler, SchedulerContext, coalesce_entries
 from .policies import SelectionContext, TapeSelectionPolicy
@@ -44,23 +44,16 @@ class StaticScheduler(Scheduler):
         return self._policy
 
     def _selection_context(self, context: SchedulerContext) -> SelectionContext:
-        candidates = context.pending.candidate_tapes()
-
-        def positions_for(tape_id: int) -> List[float]:
-            return [
-                context.catalog.replica_on(request.block_id, tape_id).position_mb
-                for request in candidates.get(tape_id, ())
-            ]
-
+        pending = context.pending
         return SelectionContext(
             timing=context.jukebox.timing,
             block_mb=context.block_mb,
             tape_count=context.tape_count,
             mounted_id=context.mounted_id,
             head_mb=context.head_mb,
-            candidates=candidates,
-            positions_for=positions_for,
-            oldest=context.pending.oldest(),
+            candidates=pending.candidate_tapes(),
+            positions_for=pending.positions_on,
+            resolve_oldest=pending.oldest,
         )
 
     def major_reschedule(self, context: SchedulerContext) -> Optional[MajorDecision]:

@@ -30,6 +30,8 @@ class FaultInjector:
     :attr:`failed_tapes` and :attr:`bad_replicas` sets are shared with
     the scheduler-visible masking layer, so recovery code marking a tape
     or copy dead immediately hides it from future scheduling decisions.
+    Mask listeners (:meth:`add_mask_listener`) hear of every growth of
+    those masks as it happens.
     """
 
     def __init__(
@@ -65,6 +67,8 @@ class FaultInjector:
         self.known_bad: Set[Tuple[int, int]] = set()
         #: Tapes taken out of service (robot damage, stuck cartridge).
         self.failed_tapes: Set[int] = set()
+        #: Subscribers told when a mask grows (see :meth:`add_mask_listener`).
+        self._mask_listeners: List[object] = []
         #: Per-drive absolute time of the next hardware failure.
         self._next_failure_s: List[float] = [
             self._sample_failure_delay(index, 0.0) for index in range(drive_count)
@@ -103,9 +107,23 @@ class FaultInjector:
             )
         return None
 
+    def add_mask_listener(self, listener: object) -> None:
+        """Subscribe ``listener`` to growth of the scheduler-visible masks.
+
+        The listener must expose ``on_tape_failed(tape_id)`` and
+        ``on_replica_condemned(tape_id, block_id)``; each is invoked
+        synchronously after the mask has grown, and only when it
+        actually grew (re-failing a failed tape is silent).
+        """
+        self._mask_listeners.append(listener)
+
     def condemn_replica(self, tape_id: int, block_id: int) -> None:
         """Record a copy as known-unreadable (discovered or escalated)."""
-        self.known_bad.add((tape_id, block_id))
+        key = (tape_id, block_id)
+        if key not in self.known_bad:
+            self.known_bad.add(key)
+            for listener in self._mask_listeners:
+                listener.on_replica_condemned(tape_id, block_id)
         if self.obs is not None:
             self.obs.event(
                 None, "replica-condemned", tape_id=tape_id, block_id=block_id
@@ -125,7 +143,10 @@ class FaultInjector:
 
     def fail_tape(self, tape_id: int) -> None:
         """Take ``tape_id`` permanently out of service (masks it)."""
-        self.failed_tapes.add(tape_id)
+        if tape_id not in self.failed_tapes:
+            self.failed_tapes.add(tape_id)
+            for listener in self._mask_listeners:
+                listener.on_tape_failed(tape_id)
         if self.obs is not None:
             self.obs.event(None, "tape-failed", tape_id=tape_id)
 

@@ -9,11 +9,18 @@ makes every scheduler family fault-aware without per-algorithm changes.
 
 The masks are the injector's mutable ``failed_tapes`` and ``known_bad``
 sets, shared by reference: a tape or copy condemned mid-run disappears
-from the very next scheduling decision, so the scheduler never re-plans
-a request onto a copy the recovery layer already discovered to be dead.
-Requests whose every copy is masked must be failed by the recovery layer
-before rescheduling (the simulator's ``_drop_lost_requests``), since a
-masked ``replicas_of`` may be empty.
+from the very next catalog query.  Consumers that index copies ahead of
+time cannot rely on a live view alone, so the view also forwards
+:meth:`FaultMaskedCatalog.add_mask_listener` to the injector, which
+announces each growth of a mask.  The pending list subscribes when it
+is built over a view declaring ``dynamic_replicas`` and deletes the
+newly hidden (request, tape) entries from its per-tape index at once,
+so its by-tape queries never re-check the masks.
+
+Requests whose every copy is masked must be failed by the recovery
+layer before rescheduling (the simulators' ``_drop_lost_requests``,
+which reads them from :meth:`~repro.core.pending.PendingList.lost`),
+since a masked ``replicas_of`` may be empty.
 """
 
 from __future__ import annotations
@@ -28,7 +35,8 @@ class FaultMaskedCatalog:
 
     #: Replica answers can change between calls (masks grow as faults
     #: are discovered).  Consumers that index replicas at insertion time
-    #: (the pending list) check this flag and re-filter per query.
+    #: (the pending list) check this flag and subscribe through
+    #: :meth:`add_mask_listener`.
     dynamic_replicas = True
 
     def __init__(
@@ -36,10 +44,28 @@ class FaultMaskedCatalog:
         inner: BlockCatalog,
         failed_tapes: Set[int],
         known_bad: Optional[Set[Tuple[int, int]]] = None,
+        notifier: Optional[object] = None,
     ) -> None:
         self._inner = inner
         self._failed = failed_tapes
         self._known_bad = known_bad if known_bad is not None else set()
+        #: The owner of the mask sets that announces their growth
+        #: (a :class:`~repro.faults.injector.FaultInjector`), if any.
+        self._notifier = notifier
+
+    def add_mask_listener(self, listener: object) -> None:
+        """Subscribe ``listener`` to mask growth (forwarded to the notifier).
+
+        Raises ``TypeError`` when the view was built without a notifier:
+        a consumer that indexes copies ahead of time would otherwise go
+        stale silently.
+        """
+        if self._notifier is None:
+            raise TypeError(
+                "this masked catalog has no notifier; build it with "
+                "notifier=<the FaultInjector owning its masks>"
+            )
+        self._notifier.add_mask_listener(listener)
 
     # -- pass-through block geometry ------------------------------------
     @property

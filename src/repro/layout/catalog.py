@@ -45,14 +45,18 @@ class BlockCatalog:
         self._replicas: Tuple[Tuple[Replica, ...], ...] = tuple(
             tuple(sorted(replica_list)) for replica_list in replicas_by_block
         )
+        on_tape: List[Dict[int, Replica]] = []
         for block_id, replica_list in enumerate(self._replicas):
             if not replica_list:
                 raise ValueError(f"logical block {block_id} has no replicas")
-            tapes = [replica.tape_id for replica in replica_list]
-            if len(set(tapes)) != len(tapes):
+            copies = {replica.tape_id: replica for replica in replica_list}
+            if len(copies) != len(replica_list):
                 raise ValueError(
                     f"logical block {block_id} has multiple copies on one tape"
                 )
+            on_tape.append(copies)
+        #: Per-block ``tape_id -> Replica`` maps for O(1) lookups.
+        self._on_tape: Tuple[Dict[int, Replica], ...] = tuple(on_tape)
         by_tape: Dict[int, List[Tuple[float, int]]] = {}
         for block_id, replica_list in enumerate(self._replicas):
             for replica in replica_list:
@@ -94,14 +98,14 @@ class BlockCatalog:
 
     def replica_on(self, block_id: int, tape_id: int) -> Replica:
         """The copy of ``block_id`` on ``tape_id``; raises ``KeyError`` if none."""
-        for replica in self._replicas[block_id]:
-            if replica.tape_id == tape_id:
-                return replica
-        raise KeyError(f"block {block_id} has no copy on tape {tape_id}")
+        replica = self._on_tape[block_id].get(tape_id)
+        if replica is None:
+            raise KeyError(f"block {block_id} has no copy on tape {tape_id}")
+        return replica
 
     def has_replica_on(self, block_id: int, tape_id: int) -> bool:
         """True when ``block_id`` has a copy on ``tape_id``."""
-        return any(replica.tape_id == tape_id for replica in self._replicas[block_id])
+        return tape_id in self._on_tape[block_id]
 
     def replication_degree(self, block_id: int) -> int:
         """Number of physical copies of ``block_id``."""

@@ -85,8 +85,12 @@ class ClaimFilteredPending(PendingList):
         self._inner.remove_many(requests)
 
     def snapshot(self) -> List[Request]:
-        """Arrival-ordered copy (unfiltered; used by envelope only)."""
+        """Arrival-ordered copy of the shared list, claims ignored."""
         return self._inner.snapshot()
+
+    def lost(self) -> List[Request]:
+        """Requests with no live copy on any tape, claims ignored."""
+        return self._inner.lost()
 
     # Filtered candidate queries.
     def oldest(self) -> Optional[Request]:
@@ -102,6 +106,12 @@ class ClaimFilteredPending(PendingList):
         if not self._visible(tape_id):
             return []
         return self._inner.requests_for_tape(tape_id)
+
+    def positions_on(self, tape_id: int) -> List[float]:
+        """Copy positions on ``tape_id`` if it is visible, else []."""
+        if not self._visible(tape_id):
+            return []
+        return self._inner.positions_on(tape_id)
 
     def candidate_tapes(self) -> Dict[int, List[Request]]:
         """Per-tape pending requests, excluding other drives' claims."""
@@ -184,7 +194,7 @@ class MultiDriveSimulator:
         if faults is not None:
             masked_tapes = faults.failed_tapes
             scheduler_catalog = FaultMaskedCatalog(
-                catalog, masked_tapes, faults.known_bad
+                catalog, masked_tapes, faults.known_bad, notifier=faults
             )
         #: Catalog as the schedulers see it (fault-masked when enabled).
         self.catalog_view = scheduler_catalog
@@ -659,11 +669,7 @@ class MultiDriveSimulator:
 
     def _drop_lost_requests(self) -> None:
         """Fail pending requests whose every known copy is gone."""
-        lost = [
-            request
-            for request in self.pending.snapshot()
-            if self.faults.block_lost(request.block_id)
-        ]
+        lost = self.pending.lost()
         if lost:
             self.pending.remove_many(lost)
             for request in lost:

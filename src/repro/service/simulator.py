@@ -95,7 +95,7 @@ class JukeboxSimulator:
             # scheduling decision.
             masked_tapes = faults.failed_tapes
             scheduler_catalog = FaultMaskedCatalog(
-                catalog, masked_tapes, faults.known_bad
+                catalog, masked_tapes, faults.known_bad, notifier=faults
             )
         self.context = SchedulerContext(
             jukebox=jukebox,
@@ -497,11 +497,7 @@ class JukeboxSimulator:
 
     def _drop_lost_requests(self) -> None:
         """Fail pending requests whose every known copy is gone."""
-        lost = [
-            request
-            for request in self.context.pending.snapshot()
-            if self.faults.block_lost(request.block_id)
-        ]
+        lost = self.context.pending.lost()
         if lost:
             self.context.pending.remove_many(lost)
             for request in lost:

@@ -328,6 +328,9 @@ def test_dynamic_catalog_disables_the_index():
         def __getattr__(self, name):
             return getattr(self._inner, name)
 
+        def add_mask_listener(self, listener):
+            pass
+
     masked = Masked(catalog)
     pending = PendingList(masked)
     index = EnvelopeIndex(pending)

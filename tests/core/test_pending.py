@@ -1,8 +1,12 @@
 """Unit tests for the pending list."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import PendingList
+from repro.faults import FaultConfig, FaultInjector, FaultMaskedCatalog
+from repro.service.multidrive import ClaimFilteredPending
+from repro.workload import RequestFactory
 
 from .conftest import catalog_from
 
@@ -80,3 +84,132 @@ class TestPendingList:
         for request in requests:
             pending.append(request)
         assert list(pending) == requests
+
+
+# ----------------------------------------------------------------------
+# Twin property test: the mask-pruned index against a live rescan.
+# ----------------------------------------------------------------------
+
+
+def _reference(view, masked, claims, drive_index):
+    """The pre-index answers, rescanned from the live masked catalog.
+
+    Every by-tape answer is the arrival-ordered list of pending requests
+    whose block still has an unmasked copy on that tape (and, behind the
+    multi-drive claim filter, whose tape this drive may see); ``lost`` is
+    every pending request with no unmasked copy anywhere.
+    """
+    candidates = {}
+    positions = {}
+    lost = []
+    for request in view.snapshot():
+        replicas = masked.replicas_of(request.block_id)
+        if not replicas:
+            lost.append(request.request_id)
+        for replica in replicas:
+            owner = claims.get(replica.tape_id) if claims is not None else None
+            if owner is not None and owner != drive_index:
+                continue
+            candidates.setdefault(replica.tape_id, []).append(request.request_id)
+            positions.setdefault(replica.tape_id, []).append(
+                masked.replica_on(request.block_id, replica.tape_id).position_mb
+            )
+    return candidates, positions, lost
+
+
+@st.composite
+def _catalogs(draw):
+    tape_count = draw(st.integers(min_value=2, max_value=4))
+    blocks = []
+    for _ in range(draw(st.integers(min_value=2, max_value=6))):
+        tapes = draw(
+            st.lists(
+                st.integers(min_value=0, max_value=tape_count - 1),
+                min_size=1,
+                max_size=tape_count,
+                unique=True,
+            )
+        )
+        blocks.append(
+            [(tape_id, draw(st.integers(0, 50)) * 16.0) for tape_id in tapes]
+        )
+    return tape_count, catalog_from(blocks)
+
+
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["append", "append", "append", "reappend", "remove"]
+            + ["fail", "condemn", "claim"]
+        ),
+        st.integers(min_value=0, max_value=1000),
+        st.integers(min_value=0, max_value=1000),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_catalogs(), _OPS, st.booleans())
+def test_mask_pruned_index_matches_live_rescan(catalog_spec, ops, claim_filtered):
+    tape_count, catalog = catalog_spec
+    injector = FaultInjector(FaultConfig(), catalog)
+    masked = FaultMaskedCatalog(
+        catalog, injector.failed_tapes, injector.known_bad, notifier=injector
+    )
+    pending = PendingList(masked)
+    claims = {} if claim_filtered else None
+    view = ClaimFilteredPending(pending, claims, 0) if claim_filtered else pending
+    factory = RequestFactory()
+    removed = []
+    for op, first, second in ops:
+        live = pending.snapshot()
+        if op == "append":
+            block_id = first % catalog.n_blocks
+            arrival_s = float(factory.next_id)
+            view.append(factory.create(block_id=block_id, arrival_s=arrival_s))
+        elif op == "reappend" and removed:
+            # Fault requeues and failovers put a request back at the tail.
+            view.append(removed.pop(first % len(removed)))
+        elif op == "remove" and live:
+            chosen = [
+                request
+                for index, request in enumerate(live)
+                if (first >> (index % 10)) & 1
+            ]
+            view.remove_many(chosen)
+            removed.extend(chosen)
+        elif op == "fail":
+            injector.fail_tape(first % tape_count)
+        elif op == "condemn":
+            injector.condemn_replica(first % tape_count, second % catalog.n_blocks)
+        elif op == "claim" and claims is not None:
+            tape_id = first % tape_count
+            owner = second % 3
+            if owner == 2:
+                claims.pop(tape_id, None)
+            else:
+                claims[tape_id] = owner
+
+        candidates, positions, lost = _reference(view, masked, claims, 0)
+        got = {
+            tape_id: [request.request_id for request in requests]
+            for tape_id, requests in view.candidate_tapes().items()
+        }
+        assert got == candidates
+        for tape_id in range(tape_count + 1):
+            assert [
+                request.request_id for request in view.requests_for_tape(tape_id)
+            ] == candidates.get(tape_id, [])
+            assert view.positions_on(tape_id) == positions.get(tape_id, [])
+        assert [request.request_id for request in view.lost()] == lost
+        assert lost == [
+            request.request_id
+            for request in pending.snapshot()
+            if injector.block_lost(request.block_id)
+        ]
+
+
+def test_dynamic_catalog_without_notifier_is_rejected(catalog):
+    with pytest.raises(TypeError, match="notifier"):
+        PendingList(FaultMaskedCatalog(catalog, set()))

@@ -3,17 +3,22 @@
 import pytest
 
 from repro.core import (
+    DynamicScheduler,
     MaxBandwidth,
     MaxRequests,
     OldestRequestMaxBandwidth,
     OldestRequestMaxRequests,
     POLICIES,
+    PendingList,
     RoundRobin,
     SelectionContext,
+    StaticScheduler,
     jukebox_order,
 )
 from repro.tape import EXB_8505XL
 from repro.workload import RequestFactory
+
+from .conftest import catalog_from, make_context
 
 
 def make_selection(candidates, positions=None, mounted=None, head=0.0, tapes=10, oldest=None):
@@ -26,7 +31,7 @@ def make_selection(candidates, positions=None, mounted=None, head=0.0, tapes=10,
         head_mb=head,
         candidates=candidates,
         positions_for=lambda tape_id: positions.get(tape_id, []),
-        oldest=oldest,
+        resolve_oldest=lambda: oldest,
     )
 
 
@@ -151,3 +156,33 @@ class TestRegistryOfPolicies:
             "oldest-max-requests",
             "oldest-max-bandwidth",
         }
+
+
+class _CountingPending(PendingList):
+    """A pending list that counts :meth:`oldest` calls."""
+
+    def __init__(self, catalog):
+        super().__init__(catalog)
+        self.oldest_calls = 0
+
+    def oldest(self):
+        self.oldest_calls += 1
+        return super().oldest()
+
+
+class TestOldestIsLazy:
+    @pytest.mark.parametrize("family", [StaticScheduler, DynamicScheduler])
+    @pytest.mark.parametrize("name", sorted(POLICIES))
+    def test_only_oldest_policies_resolve_the_oldest_request(self, family, name):
+        catalog = catalog_from([[(0, 0.0)], [(1, 16.0)], [(0, 32.0), (2, 0.0)]])
+        context = make_context(catalog, tape_count=3, mounted=1)
+        pending = context.pending = _CountingPending(catalog)
+        factory = RequestFactory()
+        for block_id in (2, 0, 1, 2):
+            pending.append(factory.create(block_id=block_id, arrival_s=0.0))
+        decision = family(POLICIES[name]).major_reschedule(context)
+        assert decision is not None
+        if name.startswith("oldest-"):
+            assert pending.oldest_calls >= 1
+        else:
+            assert pending.oldest_calls == 0

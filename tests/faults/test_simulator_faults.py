@@ -5,16 +5,20 @@ import random
 
 import pytest
 
+from repro.api import run
 from repro.core import make_scheduler
 from repro.des import Environment
 from repro.experiments import ExperimentConfig
-from repro.experiments.runner import run_experiment
 from repro.faults import FaultConfig, FaultInjector, RetryPolicy
 from repro.layout import Layout, PlacementSpec, build_catalog
 from repro.service import JukeboxSimulator, MetricsCollector
 from repro.service.oplog import OpKind, OperationLog
 from repro.tape import Jukebox
 from repro.workload import ClosedSource, HotColdSkew
+
+#: These tests run through ``repro.api.run``; a deprecated shim sneaking
+#: back in fails them.
+pytestmark = pytest.mark.filterwarnings("error::DeprecationWarning")
 
 HORIZON = 30_000.0
 
@@ -159,8 +163,8 @@ class TestPayForWhatYouUse:
             scheduler="dynamic-max-bandwidth", tape_count=4, capacity_mb=1000.0,
             horizon_s=HORIZON, queue_length=12, seed=5, warmup_fraction=0.0,
         )
-        clean = run_experiment(base).report
-        inert = run_experiment(base.with_(faults=FaultConfig())).report
+        clean = run(base).report
+        inert = run(base.with_(faults=FaultConfig())).report
         assert dataclasses.asdict(clean) == dataclasses.asdict(inert)
 
     def test_no_injector_means_no_fault_state(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.layout import BlockCatalog, Replica
+from repro.layout import BlockCatalog, Layout, PlacementSpec, Replica, build_catalog
 
 
 def make_catalog():
@@ -91,3 +91,31 @@ class TestQueries:
         mapping = catalog.as_mapping()
         assert set(mapping) == {0, 1, 2}
         assert mapping[2] == (Replica(1, 0.0),)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        PlacementSpec(layout=Layout.HORIZONTAL),
+        PlacementSpec(layout=Layout.VERTICAL, replicas=2, start_position=0.5),
+        PlacementSpec(layout=Layout.HORIZONTAL, replicas=3, percent_hot=40.0),
+    ],
+    ids=["horizontal", "vertical-nr2", "replicated-nr3"],
+)
+def test_tape_lookups_agree_with_a_replica_scan(spec):
+    catalog = build_catalog(spec, 4, 480.0)
+    tape_ids = list(catalog.tape_ids) + [99]
+    for block_id in range(catalog.n_blocks):
+        by_scan = {
+            replica.tape_id: replica for replica in catalog.replicas_of(block_id)
+        }
+        for tape_id in tape_ids:
+            assert catalog.has_replica_on(block_id, tape_id) == (tape_id in by_scan)
+            if tape_id in by_scan:
+                assert catalog.replica_on(block_id, tape_id) is by_scan[tape_id]
+            else:
+                with pytest.raises(KeyError) as raised:
+                    catalog.replica_on(block_id, tape_id)
+                assert raised.value.args == (
+                    f"block {block_id} has no copy on tape {tape_id}",
+                )

@@ -15,7 +15,10 @@ and QoS enabled (the masked-catalog and admission paths).  The LTSP
 batch families are pinned on the single-drive Figure-4 point and on the
 paths it misses: ``exact-batch`` on three drives (fractional deferred
 weight) and under a starvation guard (forced decisions re-plan foreign
-entries), and ``approx-greedy-cost`` on two drives.
+entries), and ``approx-greedy-cost`` on two drives.  Three fault cases
+pin the pending index's mask paths: blocks lost outright, tapes failing
+and copies condemned on three claiming drives, and an oldest-request
+policy behind the multi-drive claim filter.
 
 To re-pin after an *intentional* behaviour change, print fresh digests:
 
@@ -97,6 +100,25 @@ CASES = {
         tape_count=8,
         capacity_mb=2000.0,
     ),
+    "fig4_dynamic_lost_blocks": FIG4.with_(
+        replicas=0,
+        faults=FaultConfig(bad_replica_rate=0.05, retry=RetryPolicy()),
+    ),
+    "fig4_multidrive_mask_growth": FIG4.with_(
+        drive_count=3,
+        replicas=2,
+        faults=FaultConfig(
+            bad_replica_rate=0.05,
+            robot_pick_error_rate=0.3,
+            media_error_rate=0.05,
+        ),
+    ),
+    "fig4_oldest_multidrive_faults": FIG4.with_(
+        scheduler="dynamic-oldest-max-bandwidth",
+        drive_count=2,
+        replicas=1,
+        faults=FaultConfig(bad_replica_rate=0.1, robot_pick_error_rate=0.2),
+    ),
 }
 
 #: sha256 of each case's report, pinned on the pre-optimization tree.
@@ -121,6 +143,13 @@ GOLDEN = {
     "fig4_exact_batch_multidrive3": "5648c0d7a50efbf7e4551d32eee26ba3e9805076616be7bbc3ff3809b76e182e",
     "fig4_exact_batch_starvation_qos": "593ccbfce4fa4aca23a57b487535f0ecdc4795f36c26b69b048a06a0f0a09335",
     "fig4_approx_greedy_cost_multidrive": "66f0c8885563d998cbe9d6da4f0c293874e930d7787a3def11b9cf3b0ea914d4",
+    # Fault-mask paths of the static/dynamic pending index (lost blocks,
+    # tapes failing and copies condemned under multi-drive claims, the
+    # oldest-request policy behind claim filtering), pinned before the
+    # masks were pushed into the index.
+    "fig4_dynamic_lost_blocks": "ae5980783b7b4c8713f450c93543b882cceea5e1c49fc44b336226f939daa6fe",
+    "fig4_multidrive_mask_growth": "068fdf3edb2ebd0240820ab938b8d41a71d0a330d36b24e9eaf61e9de2f143f3",
+    "fig4_oldest_multidrive_faults": "4158c8cfbd6d8627e787d3559b7803bd77e66cd78580cb05443a4cb0f8141742",
 }
 
 
