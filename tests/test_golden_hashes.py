@@ -18,7 +18,10 @@ weight) and under a starvation guard (forced decisions re-plan foreign
 entries), and ``approx-greedy-cost`` on two drives.  Three fault cases
 pin the pending index's mask paths: blocks lost outright, tapes failing
 and copies condemned on three claiming drives, and an oldest-request
-policy behind the multi-drive claim filter.
+policy behind the multi-drive claim filter.  Two single-drive cases pin
+the paths the closed-loop Figure-4 point misses: robot picks exhausting
+their retries (a tape taken out of service mid-exchange) together with
+drive repairs, and open arrivals with deadline expiry.
 
 To re-pin after an *intentional* behaviour change, print fresh digests:
 
@@ -119,6 +122,22 @@ CASES = {
         replicas=1,
         faults=FaultConfig(bad_replica_rate=0.1, robot_pick_error_rate=0.2),
     ),
+    "fig4_pick_exhaustion_drive_failures": FIG4.with_(
+        replicas=1,
+        faults=FaultConfig(
+            robot_pick_error_rate=0.3,
+            drive_mtbf_s=8000.0,
+            drive_mttr_s=1200.0,
+            retry=RetryPolicy(max_attempts=2),
+        ),
+    ),
+    "open_single_drive_qos": FIG4.with_(
+        queue_length=None,
+        mean_interarrival_s=90.0,
+        qos=QoSConfig(
+            deadline_s=3000.0, admission="bounded-queue", max_pending=40
+        ),
+    ),
 }
 
 #: sha256 of each case's report, pinned on the pre-optimization tree.
@@ -150,6 +169,11 @@ GOLDEN = {
     "fig4_dynamic_lost_blocks": "ae5980783b7b4c8713f450c93543b882cceea5e1c49fc44b336226f939daa6fe",
     "fig4_multidrive_mask_growth": "068fdf3edb2ebd0240820ab938b8d41a71d0a330d36b24e9eaf61e9de2f143f3",
     "fig4_oldest_multidrive_faults": "4158c8cfbd6d8627e787d3559b7803bd77e66cd78580cb05443a4cb0f8141742",
+    # Single-drive paths no other pin covers (pick exhaustion with drive
+    # repairs; open arrivals with expiry), pinned before the two service
+    # loops were folded into one.
+    "fig4_pick_exhaustion_drive_failures": "98fcf1f7ea62e6fd8a7f124ea19bbb3bc076ce1919cb5566139513ac097dc29c",
+    "open_single_drive_qos": "f764855339838abda3e0ebd0f8e1b8c5ab294c01c7d54f9e5cc01fca11a8f7f2",
 }
 
 
