@@ -25,7 +25,7 @@ from ..experiments.store import (
 #: Salt mixed into every cache key.  Bump when simulation semantics
 #: change without a dataclass field changing (scheduler fixes, timing
 #: model corrections, ...): all previously cached results then miss.
-CODE_VERSION = "sim-2026.08-pr7"
+CODE_VERSION = "sim-2026.10-exchange-view"
 
 
 def _config_payload(config) -> dict:

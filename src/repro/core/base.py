@@ -36,6 +36,11 @@ class SchedulerContext:
     #: service).  Cost-model schedulers use it to discount deferral:
     #: requests this drive defers are drained concurrently by the others.
     drive_count: int = 1
+    #: Tape being exchanged into the drive for ``service``, or ``None``.
+    #: While it is set the scheduler sees it as mounted with the head at
+    #: BOT, so requests arriving mid-exchange are planned against the
+    #: tape the sweep will read, not the one on its way out.
+    incoming: Optional[int] = None
 
     def tape_available(self, tape_id: int) -> bool:
         """True when ``tape_id`` is in service (not masked out)."""
@@ -43,12 +48,16 @@ class SchedulerContext:
 
     @property
     def mounted_id(self) -> Optional[int]:
-        """Currently mounted tape id."""
+        """Currently mounted tape id (the incoming one mid-exchange)."""
+        if self.incoming is not None:
+            return self.incoming
         return self.jukebox.mounted_id
 
     @property
     def head_mb(self) -> float:
-        """Current head position (MB)."""
+        """Current head position (MB); BOT mid-exchange."""
+        if self.incoming is not None:
+            return 0.0
         return self.jukebox.head_mb
 
     @property

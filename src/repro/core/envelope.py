@@ -881,6 +881,15 @@ class EnvelopeScheduler(Scheduler):
 
     def major_reschedule(self, context: SchedulerContext) -> Optional[MajorDecision]:
         requests = context.pending.snapshot()
+        lost = context.pending.lost()
+        if lost:
+            # A request with no live copy (a closed-loop replacement
+            # drawn for a lost block) cannot be covered by any envelope;
+            # it stays pending until the service loop fails it.
+            lost_ids = {request.request_id for request in lost}
+            requests = [
+                request for request in requests if request.request_id not in lost_ids
+            ]
         if not requests:
             return None
         computer = EnvelopeComputer(

@@ -24,6 +24,10 @@ class FifoScheduler(Scheduler):
         if oldest is None:
             return None
         replicas = context.catalog.replicas_of(oldest.block_id)
+        if not replicas:
+            # Every copy is gone: the service loop fails the request
+            # before the next decision.
+            return None
         # FIFO is oblivious to scheduling concerns, but reading a mounted
         # copy over an unmounted one is plain I/O-stack behaviour.  The
         # fallback replica must be on a tape the pending list exposes

@@ -69,6 +69,8 @@ class FaultInjector:
         self.failed_tapes: Set[int] = set()
         #: Subscribers told when a mask grows (see :meth:`add_mask_listener`).
         self._mask_listeners: List[object] = []
+        #: Blocks below this id are known to have no surviving copy.
+        self._first_live_block = 0
         #: Per-drive absolute time of the next hardware failure.
         self._next_failure_s: List[float] = [
             self._sample_failure_delay(index, 0.0) for index in range(drive_count)
@@ -201,6 +203,18 @@ class FaultInjector:
     def block_lost(self, block_id: int) -> bool:
         """True when every copy of ``block_id`` is known to be gone."""
         return not self.surviving_replicas(block_id)
+
+    def all_blocks_lost(self) -> bool:
+        """True when no block has a surviving copy: nothing is readable.
+
+        Masks only grow, so a block once lost stays lost and the scan
+        resumes at the first block it has not yet seen lost.
+        """
+        while self._first_live_block < self.catalog.n_blocks:
+            if self.surviving_replicas(self._first_live_block):
+                return False
+            self._first_live_block += 1
+        return True
 
     # ------------------------------------------------------------------
     def _count(self, fault: FaultError) -> FaultError:

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional
 from ..core.base import Scheduler, SchedulerContext
 from ..core.envelope import EnvelopeScheduler
 from ..core.pending import PendingList
-from ..core.sweep import ServiceEntry, ServiceList
+from ..core.sweep import ServiceEntry
 from ..des import Environment, Event, Resource
 from ..faults.injector import FaultInjector
 from ..faults.masking import FaultMaskedCatalog
@@ -331,6 +331,8 @@ class MultiDriveSimulator:
                 scheduler.major_reschedule(context) if len(self.pending) else None
             )
             if decision is None:
+                if self.pending.lost() and not self.faults.all_blocks_lost():
+                    continue  # the top of the loop fails the lost requests
                 idle_start = self.env.now
                 wakeup = self.env.event()
                 self._wakeups[drive_index] = wakeup
@@ -351,13 +353,17 @@ class MultiDriveSimulator:
 
             switching = decision.tape_id != drive.mounted_id
             start_head = 0.0 if switching else drive.head_mb
-            service = ServiceList(decision.entries, head_mb=start_head)
+            service = scheduler.build_service_list(
+                decision.entries, head_mb=start_head
+            )
             context.service = service
 
             if switching:
                 # Claim the new tape first so no other drive grabs it
-                # while this one rewinds and waits for the arm.
+                # while this one rewinds and waits for the arm; the
+                # scheduler plans arrivals against it from now on.
                 self.claims[decision.tape_id] = drive_index
+                context.incoming = decision.tape_id
                 switch_start = self.env.now
                 old_tape = drive.mounted_id
                 if drive.is_loaded:
@@ -374,7 +380,9 @@ class MultiDriveSimulator:
                     context.service = None
                     self._wake_idle_drives()
                     continue
-                yield self._timed(drive.load(self.pool[decision.tape_id]))
+                load_s = drive.load(self.pool[decision.tape_id])
+                context.incoming = None
+                yield self._timed(load_s)
                 self.tape_switches += 1
                 self.metrics.on_tape_switch(self.env.now)
                 if self.obs is not None:
@@ -527,6 +535,7 @@ class MultiDriveSimulator:
                 continue
             # The cartridge is stuck: mask the tape and fail over the
             # sweep planned against it.
+            self.contexts[drive_index].incoming = None
             self.faults.fail_tape(tape_id)
             service = self.contexts[drive_index].service
             if service is not None:
@@ -670,7 +679,9 @@ class MultiDriveSimulator:
     def _drop_lost_requests(self) -> None:
         """Fail pending requests whose every known copy is gone."""
         lost = self.pending.lost()
-        if lost:
+        # Once nothing is readable, failing a request only issues a
+        # closed-loop replacement that is lost again.
+        if lost and not self.faults.all_blocks_lost():
             self.pending.remove_many(lost)
             for request in lost:
                 self._fail_request(request)

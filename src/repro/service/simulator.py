@@ -204,13 +204,15 @@ class JukeboxSimulator:
                 yield from self._repair_drive()
                 continue
 
-            # Step 4: idle-wait for work.
-            while len(context.pending) == 0:
+            # Step 4: idle-wait for work, then start over: the drive may
+            # have failed while it sat idle.
+            if len(context.pending) == 0:
                 idle_start = self.env.now
                 self._wakeup = self.env.event()
                 yield self._wakeup
                 self._wakeup = None
                 self._log(OpKind.IDLE, idle_start, self.env.now - idle_start)
+                continue
 
             # Requests whose every known copy is gone can never be
             # scheduled (the masked catalog shows them no replicas) —
@@ -229,7 +231,15 @@ class JukeboxSimulator:
 
             # Step 1: major reschedule.
             decision = self.scheduler.major_reschedule(context)
-            if decision is None:  # pragma: no cover - pending was non-empty
+            if decision is None:
+                # Only requests with no live copy are left: the top of
+                # the loop fails them, unless nothing is readable at all.
+                if not context.pending.lost() or self.faults.all_blocks_lost():
+                    idle_start = self.env.now
+                    self._wakeup = self.env.event()
+                    yield self._wakeup
+                    self._wakeup = None
+                    self._log(OpKind.IDLE, idle_start, self.env.now - idle_start)
                 continue
             if self.faults is not None and self.faults.tape_failed(decision.tape_id):
                 # Backstop for schedulers that plan outside the masked
@@ -498,17 +508,23 @@ class JukeboxSimulator:
     def _drop_lost_requests(self) -> None:
         """Fail pending requests whose every known copy is gone."""
         lost = self.context.pending.lost()
-        if lost:
+        # Once nothing is readable, failing a request only issues a
+        # closed-loop replacement that is lost again.
+        if lost and not self.faults.all_blocks_lost():
             self.context.pending.remove_many(lost)
             for request in lost:
                 self._fail_request(request)
 
     def _switch_with_faults(self, tape_id: int):
         """Mount ``tape_id`` under robot pick faults; True when mounted."""
+        # The old tape stays in the drive until a pick succeeds; arrivals
+        # meanwhile are planned against the incoming one.
+        self.context.incoming = tape_id
         attempts = 0
         while True:
             fault = self.faults.robot_pick_fault(tape_id)
             if fault is None:
+                self.context.incoming = None
                 switch_start = self.env.now
                 duration = self.jukebox.switch_to(tape_id)
                 yield self._timed(duration)
@@ -539,6 +555,7 @@ class JukeboxSimulator:
                 continue
             # The cartridge is stuck: take the tape out of service and
             # fail over everything scheduled against it.
+            self.context.incoming = None
             self.faults.fail_tape(tape_id)
             service = self.context.service
             if service is not None:

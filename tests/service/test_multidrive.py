@@ -4,9 +4,12 @@ import random
 
 import pytest
 
+from repro.api import run
 from repro.core import DynamicScheduler, MaxBandwidth, make_scheduler
 from repro.des import Environment, Resource
+from repro.experiments import ExperimentConfig
 from repro.layout import Layout, PlacementSpec, build_catalog
+from repro.obs import Tracer
 from repro.service import MetricsCollector
 from repro.service.multidrive import MultiDriveSimulator
 from repro.workload import ClosedSource, HotColdSkew
@@ -170,3 +173,34 @@ class TestMultiDriveBehaviour:
     def test_replicated_layout_runs(self):
         report = make_multidrive(2, replicas=5, queue_length=30).run(20_000.0)
         assert report.total_completed > 100
+
+
+@pytest.mark.parametrize(
+    "scheduler", ["dynamic-max-bandwidth", "exact-batch", "approx-best-pass"]
+)
+def test_every_drive_executes_its_schedulers_planned_order(monkeypatch, scheduler):
+    """Each decision's sweep is built by the deciding scheduler, so batch
+    families run their planned read order on every drive."""
+    scheduler_class = type(make_scheduler(scheduler))
+    build = scheduler_class.build_service_list
+    built = []
+
+    def counting_build(self, entries, head_mb):
+        built.append(len(entries))
+        return build(self, entries, head_mb)
+
+    monkeypatch.setattr(scheduler_class, "build_service_list", counting_build)
+    tracer = Tracer()
+    run(
+        ExperimentConfig(
+            scheduler=scheduler,
+            drive_count=2,
+            tape_count=8,
+            capacity_mb=2000.0,
+            queue_length=20,
+            horizon_s=20_000.0,
+        ),
+        obs=tracer,
+    )
+    assert built == [record.entry_count for record in tracer.decisions]
+    assert built

@@ -138,9 +138,21 @@ CASES = {
             deadline_s=3000.0, admission="bounded-queue", max_pending=40
         ),
     ),
+    "open_multidrive_drive_failures": FIG4.with_(
+        queue_length=None,
+        mean_interarrival_s=40.0,
+        drive_count=2,
+        replicas=1,
+        faults=FaultConfig(
+            media_error_rate=0.02, drive_mtbf_s=8000.0, drive_mttr_s=1200.0
+        ),
+    ),
 }
 
 #: sha256 of each case's report, pinned on the pre-optimization tree.
+#: The multi-drive cases were re-pinned once when drives stopped
+#: planning mid-exchange arrivals against the outgoing tape and started
+#: executing each scheduler's own service-list order.
 GOLDEN = {
     "fig4_dynamic_max_bandwidth": "fff45a7a06f6b6cffe23ed98288a6322f28cf1432b887646c6a5022253c4b8c5",
     "fig4_static_max_bandwidth": "84bc9af77fb61cc23f188eb5fe6ae8f24bbcabba259d98acd5a167ac748eafb5",
@@ -152,28 +164,30 @@ GOLDEN = {
     "fig8_envelope_qos": "9c07f83760c016c049857e301cfb1668caa955a9109de60028778fda5ac0f18e",
     "fig4_dynamic_faults_qos": "8621fbb9b16a0c5db1dc251569528820938ed3acf11eba0095a7081c3e191ecc",
     "fig4_serpentine": "01df9667ce284d938428e74e3e527dac948ffd9f165656cb6ecfe68028b62d9c",
-    "fig4_multidrive": "6deffd19af91d1e7fc04ec988e6d8208ee511affc842b78bd586c018ea7ae7aa",
+    "fig4_multidrive": "8b7be25cdc5a486174ea1c60a25e58b8c97bb53a606891ae2bf4da14853f37de",
     # LTSP optimality-baseline families, pinned at their introduction.
     "fig4_exact_batch": "c149b3b26b387e8923931e3bb06d504fff6fa15a83de5abcb47aa8a165b56b3a",
     "fig4_approx_greedy_cost": "bac0e5590567174a28530f5a53fb0ddc6c1c926b861de0cc5012757d5dedf8cd",
     "fig4_approx_best_pass": "80024f04ff6ad040a441230f5509d2a6bd186a1c94a433223a229802f54b483b",
     # Batch-family paths the Figure-4 pins miss, pinned before the
     # tape-level pruning and shared transition matrix landed.
-    "fig4_exact_batch_multidrive3": "5648c0d7a50efbf7e4551d32eee26ba3e9805076616be7bbc3ff3809b76e182e",
+    "fig4_exact_batch_multidrive3": "cba6baa38a315c7a7d6aa6cf7203512daadf1c74b3bd76008ff9ded9f42327ae",
     "fig4_exact_batch_starvation_qos": "593ccbfce4fa4aca23a57b487535f0ecdc4795f36c26b69b048a06a0f0a09335",
-    "fig4_approx_greedy_cost_multidrive": "66f0c8885563d998cbe9d6da4f0c293874e930d7787a3def11b9cf3b0ea914d4",
+    "fig4_approx_greedy_cost_multidrive": "2f8665abfd994a27699c7e8086df7882632ac2cdca68a0aa76bcd924894b2aaa",
     # Fault-mask paths of the static/dynamic pending index (lost blocks,
     # tapes failing and copies condemned under multi-drive claims, the
     # oldest-request policy behind claim filtering), pinned before the
     # masks were pushed into the index.
     "fig4_dynamic_lost_blocks": "ae5980783b7b4c8713f450c93543b882cceea5e1c49fc44b336226f939daa6fe",
-    "fig4_multidrive_mask_growth": "068fdf3edb2ebd0240820ab938b8d41a71d0a330d36b24e9eaf61e9de2f143f3",
-    "fig4_oldest_multidrive_faults": "4158c8cfbd6d8627e787d3559b7803bd77e66cd78580cb05443a4cb0f8141742",
+    "fig4_multidrive_mask_growth": "c3330694f7b29151c36001b8df60240877acfcfa2c3fad317d7a12a7bea5e414",
+    "fig4_oldest_multidrive_faults": "376cbf474259bcf16019d01532e8dfcb0abcf5ad989380cda999882973db38b5",
     # Single-drive paths no other pin covers (pick exhaustion with drive
     # repairs; open arrivals with expiry), pinned before the two service
     # loops were folded into one.
     "fig4_pick_exhaustion_drive_failures": "98fcf1f7ea62e6fd8a7f124ea19bbb3bc076ce1919cb5566139513ac097dc29c",
     "open_single_drive_qos": "f764855339838abda3e0ebd0f8e1b8c5ab294c01c7d54f9e5cc01fca11a8f7f2",
+    # Open arrivals on two drives with drive failures and repairs.
+    "open_multidrive_drive_failures": "bcca9bdf251c217ee9a7fd2934479a6fba9f61596a106d66df5cd42d487ed2ef",
 }
 
 
