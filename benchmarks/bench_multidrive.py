@@ -15,7 +15,8 @@ from repro.core import make_scheduler
 from repro.des import Environment
 from repro.layout import PlacementSpec, build_catalog
 from repro.report import format_table
-from repro.service import MetricsCollector, MultiDriveSimulator
+from repro.service import JukeboxSimulator, MetricsCollector
+from repro.tape import Jukebox
 from repro.workload import ClosedSource, HotColdSkew
 
 from _util import HORIZON_S
@@ -30,13 +31,15 @@ def run_with_drives(drive_count: int):
         PlacementSpec(percent_hot=10, block_mb=BLOCK), 10, CAPACITY
     )
     source = ClosedSource(QUEUE, HotColdSkew(40.0), catalog, random.Random(17))
-    simulator = MultiDriveSimulator(
+    simulator = JukeboxSimulator(
         env=Environment(),
+        jukebox=Jukebox.build(capacity_mb=CAPACITY),
         catalog=catalog,
+        scheduler=[
+            make_scheduler("dynamic-max-bandwidth") for _ in range(drive_count)
+        ],
         source=source,
         metrics=MetricsCollector(block_mb=BLOCK, warmup_s=HORIZON_S * 0.1),
-        scheduler_factory=lambda: make_scheduler("dynamic-max-bandwidth"),
-        drive_count=drive_count,
     )
     return simulator.run(HORIZON_S)
 

@@ -131,33 +131,14 @@ def build_simulator(
     if config.qos is not None and config.qos.enabled:
         qos = QoSManager(config.qos, env, metrics)
 
-    if config.drive_count > 1:
-        from ..service.multidrive import MultiDriveSimulator
-
-        return MultiDriveSimulator(
-            env=env,
-            catalog=catalog,
-            source=source,
-            metrics=metrics,
-            scheduler_factory=lambda: make_scheduler(config.scheduler),
-            drive_count=config.drive_count,
-            tape_count=config.tape_count,
-            capacity_mb=config.capacity_mb,
-            timing=timing,
-            faults=faults,
-            qos=qos,
-            obs=obs,
-        )
-
     jukebox = Jukebox.build(
         tape_count=config.tape_count, capacity_mb=config.capacity_mb, timing=timing
     )
-    scheduler = make_scheduler(config.scheduler)
     return JukeboxSimulator(
         env=env,
         jukebox=jukebox,
         catalog=catalog,
-        scheduler=scheduler,
+        scheduler=[make_scheduler(config.scheduler) for _ in range(config.drive_count)],
         source=source,
         metrics=metrics,
         faults=faults,

@@ -2,7 +2,6 @@
 
 from .metrics import KB, MB, MetricsCollector, MetricsReport
 from .farm import FarmConfig, FarmReport, FarmResult, run_farm
-from .multidrive import MultiDriveSimulator
 from .oplog import OpKind, Operation, OperationLog
 from .rollup import ReportRollup, merge_reports, report_registry
 from .simulator import JukeboxSimulator
@@ -21,7 +20,6 @@ __all__ = [
     "MB",
     "MetricsCollector",
     "MetricsReport",
-    "MultiDriveSimulator",
     "OpKind",
     "Operation",
     "OperationLog",

@@ -1,6 +1,6 @@
 """The service model (paper Section 2.2) as a discrete-event process.
 
-The drive process repeatedly cycles through the paper's four steps:
+Each drive repeatedly cycles through the paper's four steps:
 
 1. invoke the major rescheduler on the pending list;
 2. switch to the selected tape if it is not already loaded;
@@ -8,11 +8,23 @@ The drive process repeatedly cycles through the paper's four steps:
    the incremental scheduler;
 4. if the pending list is empty, wait for a request to arrive.
 
+The paper studies a single drive and names multiple drives as future
+work.  Pass one scheduler per drive and ``D`` drives share the robot
+arm, the tape pool and the pending list, each running the loop with its
+own scheduler.  A tape is in at most one drive at a time (drives *claim*
+tapes, and each drive's scheduler sees the pending list through a claim
+filter), and robot swaps serialize on the shared arm.  The
+envelope-extension algorithm plans globally across all tapes and stays
+single-drive, as in the paper.  Only the physical exchange depends on
+the drive count: one drive charges :meth:`Jukebox.switch_to` as a single
+duration, several drives stage rewind, eject, arm, swap and load.
+
 Operation durations come from the jukebox's timing model; state changes
 are committed at operation start and the simulated clock advances by the
 returned duration, so a request arriving during an operation sees the
 operation as already committed (it may only affect the not-yet-started
-remainder of the sweep).
+remainder of the sweep).  While a drive exchanges tapes its scheduler
+sees the incoming tape as mounted.
 
 When a :class:`~repro.faults.FaultInjector` is attached, each physical
 operation may fail: transient faults are retried under the
@@ -21,18 +33,21 @@ time with the drive idle), permanent ones trigger *replica failover* —
 the failed read's requests re-enter the pending list and the schedulers,
 consulting the catalog through the fault-masked view, re-plan them onto
 a surviving copy.  Requests whose every copy is lost fail permanently.
-Without an injector every fault branch is skipped outright, so
-fault-free runs are bit-identical to the pre-fault simulator.
+A failed drive releases its tape, so surviving drives can pick up its
+re-queued sweep while it is repaired.  Without an injector every fault
+branch is skipped outright, so fault-free runs are bit-identical to the
+pre-fault simulator.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional, Sequence, Union
 
 from ..core.base import Scheduler, SchedulerContext
+from ..core.envelope import EnvelopeScheduler
 from ..core.pending import PendingList
 from ..core.sweep import ServiceEntry
-from ..des import Environment, Event
+from ..des import Environment, Event, Resource
 from ..faults.injector import FaultInjector
 from ..faults.masking import FaultMaskedCatalog
 from ..faults.retry import RetryPolicy
@@ -42,18 +57,24 @@ from ..qos.manager import QoSManager
 from ..tape.jukebox import Jukebox
 from ..workload.requests import Request
 from .metrics import MetricsCollector, MetricsReport
+from .multidrive import ClaimFilteredPending
 from .oplog import OpKind, Operation, OperationLog
 
 
 class JukeboxSimulator:
-    """Couples jukebox hardware, a scheduler, and a request source."""
+    """Couples jukebox hardware, schedulers, and a request source.
+
+    ``scheduler`` is one scheduler, or a sequence of them with one per
+    drive; drives beyond the first are added to ``jukebox`` as bays
+    sharing its tape pool (see :meth:`Jukebox.drive_bay`).
+    """
 
     def __init__(
         self,
         env: Environment,
         jukebox: Jukebox,
         catalog: BlockCatalog,
-        scheduler: Scheduler,
+        scheduler: Union[Scheduler, Sequence[Scheduler]],
         source,
         metrics: MetricsCollector,
         oplog: Optional[OperationLog] = None,
@@ -62,8 +83,22 @@ class JukeboxSimulator:
         qos: Optional[QoSManager] = None,
         obs: Optional[Tracer] = None,
     ) -> None:
+        schedulers = (
+            list(scheduler) if isinstance(scheduler, (list, tuple)) else [scheduler]
+        )
+        drive_count = len(schedulers)
+        if drive_count == 0:
+            raise ValueError("need one scheduler per drive, got none")
+        if drive_count > jukebox.tape_count:
+            raise ValueError("cannot have more drives than tapes")
+        if drive_count > 1 and any(
+            isinstance(each, EnvelopeScheduler) for each in schedulers
+        ):
+            raise ValueError(
+                "the envelope-extension algorithm is single-drive; "
+                "use a static or dynamic scheduler for multi-drive runs"
+            )
         self.env = env
-        self.jukebox = jukebox
         self.qos = qos
         #: Optional structured tracer (see :mod:`repro.obs`).  Every
         #: call site is guarded, so ``obs=None`` adds no work and runs
@@ -78,8 +113,8 @@ class JukeboxSimulator:
         if qos is not None:
             # Starvation guard (when configured) intercepts only the
             # major reschedule; every other scheduler call delegates.
-            scheduler = qos.wrap_scheduler(scheduler)
-        self.scheduler = scheduler
+            schedulers = [qos.wrap_scheduler(each) for each in schedulers]
+        self.schedulers = schedulers
         self.source = source
         self.metrics = metrics
         self.faults = faults
@@ -87,23 +122,50 @@ class JukeboxSimulator:
             retry = faults.config.retry
         self.retry = retry
         masked_tapes = set()
-        scheduler_catalog = catalog
         if faults is not None:
             # Schedulers (and the pending list's candidate queries) see
             # the catalog through the fault mask, so a tape taken out of
             # service or a copy discovered bad vanishes from the next
             # scheduling decision.
             masked_tapes = faults.failed_tapes
-            scheduler_catalog = FaultMaskedCatalog(
+            catalog = FaultMaskedCatalog(
                 catalog, masked_tapes, faults.known_bad, notifier=faults
             )
-        self.context = SchedulerContext(
-            jukebox=jukebox,
-            catalog=scheduler_catalog,
-            pending=PendingList(scheduler_catalog),
-            masked_tapes=masked_tapes,
+        #: The catalog as the schedulers see it (fault-masked if enabled).
+        self.catalog = catalog
+        self.pending = PendingList(catalog)
+        #: tape_id -> index of the drive holding or loading it.
+        self.claims: Dict[int, int] = {}
+        #: One jukebox per drive: ``jukebox`` itself, then its bays.
+        self.bays: List[Jukebox] = [jukebox] + [
+            jukebox.drive_bay() for _ in range(drive_count - 1)
+        ]
+        # One drive keeps the bare pending list (the envelope index
+        # subscribes to it); several see it through their claim filters.
+        views = (
+            [self.pending]
+            if drive_count == 1
+            else [
+                ClaimFilteredPending(self.pending, self.claims, drive)
+                for drive in range(drive_count)
+            ]
         )
-        self._wakeup: Optional[Event] = None
+        self.contexts: List[SchedulerContext] = [
+            SchedulerContext(
+                jukebox=bay,
+                catalog=catalog,
+                pending=view,
+                masked_tapes=masked_tapes,
+                drive_count=drive_count,
+            )
+            for bay, view in zip(self.bays, views)
+        ]
+        #: The robot arm, shared by the drives' staged exchanges.
+        self.robot = Resource(env, capacity=1)
+        self._exchange = (
+            self._switch_tape if drive_count == 1 else self._staged_exchange
+        )
+        self._wakeups: List[Optional[Event]] = [None] * drive_count
         self._started = False
         #: Count of arrivals absorbed into an in-progress sweep.
         self.absorbed_arrivals = 0
@@ -114,14 +176,16 @@ class JukeboxSimulator:
         #: Optional structured trace of drive operations.
         self.oplog = oplog
 
-    def _log(self, kind: OpKind, start_s: float, duration_s: float, **where) -> None:
+    def _log(
+        self, kind: OpKind, drive: int, start_s: float, duration_s: float, **where
+    ) -> None:
         if self.oplog is not None:
             self.oplog.append(
                 Operation(kind=kind, start_s=start_s, duration_s=duration_s, **where)
             )
         if self.obs is not None:
             self.obs.on_op(
-                0,
+                drive,
                 kind.value,
                 start_s,
                 duration_s,
@@ -135,25 +199,42 @@ class JukeboxSimulator:
     # Request intake
     # ------------------------------------------------------------------
     def submit(self, request: Request) -> None:
-        """A request arrives: incremental-schedule it or defer it."""
+        """A request arrives: offer it to a sweep in progress, or defer it.
+
+        The first drive whose sweep's tape (incoming or mounted) holds a
+        copy gets the request, else the first drive with a sweep in
+        progress; that drive's incremental scheduler absorbs or defers
+        it.  With no sweep in progress it joins the pending list.
+        """
         self.metrics.on_arrival(request, self.env.now)
         if self.obs is not None:
             self.obs.on_arrival(request, self.env.now)
-        if self.qos is not None and not self.qos.admit(
-            request, len(self.context.pending)
-        ):
+        if self.qos is not None and not self.qos.admit(request, len(self.pending)):
             # Shed at the boundary: the request never reaches the
             # pending list or the schedulers.  Shed requests do not
             # spawn closed-population replacements (re-offering a fresh
             # request at the same instant would be shed again forever).
             return
-        if self.context.service is not None:
-            if self.scheduler.on_arrival(self.context, request):
-                self.absorbed_arrivals += 1
-        else:
-            self.context.pending.append(request)
-        if self._wakeup is not None and not self._wakeup.triggered:
-            self._wakeup.succeed()
+        target = None
+        for drive, context in enumerate(self.contexts):
+            if context.service is None:
+                continue
+            if target is None:
+                target = drive
+            if self.catalog.has_replica_on(request.block_id, context.mounted_id):
+                target = drive
+                break
+        if target is None:
+            self.pending.append(request)
+        elif self.schedulers[target].on_arrival(self.contexts[target], request):
+            self.absorbed_arrivals += 1
+        self._wake_idle_drives()
+
+    def _wake_idle_drives(self) -> None:
+        for drive, wakeup in enumerate(self._wakeups):
+            if wakeup is not None and not wakeup.triggered:
+                wakeup.succeed()
+                self._wakeups[drive] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -165,7 +246,8 @@ class JukeboxSimulator:
         self._started = True
         for request in self.source.initial_requests(self.env.now):
             self.submit(request)
-        self.env.process(self._drive_process())
+        for drive in range(len(self.contexts)):
+            self.env.process(self._drive_process(drive))
         if not self.source.is_closed:
             self.env.process(self._arrival_process(horizon_s))
 
@@ -193,91 +275,65 @@ class JukeboxSimulator:
         self.metrics.on_drive_busy(self.env.now, duration_s)
         return duration_s
 
-    def _drive_process(self):
-        """The paper's four-step service loop (fault-aware when enabled)."""
-        context = self.context
-        block_mb = context.catalog.block_mb
+    def _idle(self, drive: int):
+        """Wait until something may have given ``drive`` work."""
+        idle_start = self.env.now
+        wakeup = self._wakeups[drive] = self.env.event()
+        yield wakeup
+        self._log(OpKind.IDLE, drive, idle_start, self.env.now - idle_start)
+
+    def _drive_process(self, drive: int):
+        """The paper's four-step service loop for one drive."""
+        context = self.contexts[drive]
+        scheduler = self.schedulers[drive]
+        jukebox = self.bays[drive]
+        pending = self.pending
+        block_mb = self.catalog.block_mb
         while True:
-            if self.faults is not None and self.faults.drive_failure_due(
-                0, self.env.now
-            ):
-                yield from self._repair_drive()
-                continue
-
-            # Step 4: idle-wait for work, then start over: the drive may
-            # have failed while it sat idle.
-            if len(context.pending) == 0:
-                idle_start = self.env.now
-                self._wakeup = self.env.event()
-                yield self._wakeup
-                self._wakeup = None
-                self._log(OpKind.IDLE, idle_start, self.env.now - idle_start)
-                continue
-
-            # Requests whose every known copy is gone can never be
-            # scheduled (the masked catalog shows them no replicas) —
-            # fail them before planning, then re-check for work.
             if self.faults is not None:
-                self._drop_lost_requests()
-                if len(context.pending) == 0:
+                if self.faults.drive_failure_due(drive, self.env.now):
+                    yield from self._repair_drive(drive)
                     continue
+                # Requests whose every known copy is gone can never be
+                # scheduled (the masked catalog shows them no replicas).
+                self._drop_lost_requests()
 
             # Expiry-on-dequeue: purge requests whose TTL has already
             # passed so the scheduler never plans undeliverable work.
-            if self.qos is not None:
+            if self.qos is not None and len(pending):
                 self._expire_from_pending()
-                if len(context.pending) == 0:
-                    continue
 
-            # Step 1: major reschedule.
-            decision = self.scheduler.major_reschedule(context)
+            # Step 1: major reschedule; step 4: idle-wait for work.
+            decision = scheduler.major_reschedule(context) if len(pending) else None
             if decision is None:
-                # Only requests with no live copy are left: the top of
-                # the loop fails them, unless nothing is readable at all.
-                if not context.pending.lost() or self.faults.all_blocks_lost():
-                    idle_start = self.env.now
-                    self._wakeup = self.env.event()
-                    yield self._wakeup
-                    self._wakeup = None
-                    self._log(OpKind.IDLE, idle_start, self.env.now - idle_start)
+                # Anything still pending is on other drives' tapes, or
+                # has no live copy left: the top of the loop fails the
+                # latter, unless nothing is readable at all.
+                if not pending.lost() or self.faults.all_blocks_lost():
+                    yield from self._idle(drive)
                 continue
             if self.faults is not None and self.faults.tape_failed(decision.tape_id):
                 # Backstop for schedulers that plan outside the masked
                 # pending view (envelope): fail over the whole decision.
                 for entry in decision.entries:
-                    self._resolve_replica_failure(entry)
+                    self._resolve_replica_failure(drive, entry)
                 continue
             if self.obs is not None:
                 self.obs.on_decision(
-                    self.env.now,
-                    0,
-                    self.scheduler.name,
-                    decision,
-                    len(context.pending),
+                    self.env.now, drive, scheduler.name, decision, len(pending)
                 )
 
             # Step 2: switch tapes if necessary.  The service list exists
             # during the switch so arriving requests can be inserted.
-            switching = decision.tape_id != self.jukebox.mounted_id
-            start_head = 0.0 if switching else self.jukebox.head_mb
-            service = self.scheduler.build_service_list(
-                decision.entries, head_mb=start_head
-            )
+            switching = decision.tape_id != jukebox.mounted_id
+            start_head = 0.0 if switching else jukebox.head_mb
+            service = scheduler.build_service_list(decision.entries, head_mb=start_head)
             context.service = service
             if switching:
-                if self.faults is not None:
-                    mounted = yield from self._switch_with_faults(decision.tape_id)
-                    if not mounted:
-                        context.service = None
-                        continue
-                else:
-                    switch_start = self.env.now
-                    duration = self.jukebox.switch_to(decision.tape_id)
-                    yield self._timed(duration)
-                    self.metrics.on_tape_switch(self.env.now)
-                    self._log(
-                        OpKind.SWITCH, switch_start, duration, tape_id=decision.tape_id
-                    )
+                mounted = yield from self._exchange(drive, decision.tape_id)
+                if not mounted:
+                    context.service = None
+                    continue
                 if self.obs is not None:
                     self.obs.on_exchange(
                         (
@@ -292,11 +348,11 @@ class JukeboxSimulator:
             drive_failed = False
             while not service.is_empty:
                 if self.faults is not None and self.faults.drive_failure_due(
-                    0, self.env.now
+                    drive, self.env.now
                 ):
                     # The drive died mid-sweep: the unread remainder goes
-                    # back to the pending list to be re-planned after
-                    # repair (same tape, same copies — nothing was lost).
+                    # back to the pending list, for another drive or for
+                    # this one after repair (nothing was lost).
                     self._requeue_entries(service.remaining())
                     while not service.is_empty:
                         service.pop_next()
@@ -318,42 +374,170 @@ class JukeboxSimulator:
                             continue
                         entry.requests[:] = live
                 read_start = self.env.now
-                head_before = self.jukebox.head_mb if self.obs is not None else 0.0
-                duration = self.jukebox.access(entry.position_mb, block_mb)
+                head_before = jukebox.head_mb if self.obs is not None else 0.0
+                duration = jukebox.access(entry.position_mb, block_mb)
                 yield self._timed(duration)
                 self._log(
                     OpKind.READ,
+                    drive,
                     read_start,
                     duration,
-                    tape_id=self.jukebox.mounted_id,
+                    tape_id=jukebox.mounted_id,
                     position_mb=entry.position_mb,
                     block_id=entry.block_id,
                 )
                 fault = (
-                    self.faults.read_fault(self.jukebox.mounted_id, entry.block_id)
+                    self.faults.read_fault(jukebox.mounted_id, entry.block_id)
                     if self.faults is not None
                     else None
                 )
                 if fault is None:
                     service.finish_in_flight()
                     self._deliver(
-                        entry, duration, locate_s=self._locate_of(head_before, entry)
+                        entry,
+                        duration,
+                        locate_s=self._locate_of(jukebox, head_before, entry),
                     )
                 else:
-                    yield from self._recover_read(entry, fault)
+                    yield from self._recover_read(drive, entry, fault)
                     service.finish_in_flight()
 
             context.service = None
-            self.scheduler.on_sweep_complete(context)
+            scheduler.on_sweep_complete(context)
             if self.qos is not None:
-                self.qos.on_progress(len(context.pending))
+                self.qos.on_progress(len(pending))
             if drive_failed:
-                yield from self._repair_drive()
+                yield from self._repair_drive(drive)
+
+    # ------------------------------------------------------------------
+    # Tape exchange
+    # ------------------------------------------------------------------
+    def _switch_tape(self, drive: int, tape_id: int):
+        """One drive: failed robot picks, then the whole switch at once.
+
+        The old tape stays in the drive until a pick succeeds, and each
+        failed pick costs the drive one arm motion.  Returns True when
+        ``tape_id`` is mounted.
+        """
+        jukebox = self.bays[drive]
+        self.contexts[drive].incoming = tape_id
+        attempts = 0
+        while self.faults is not None:
+            fault = self.faults.robot_pick_fault(tape_id)
+            if fault is None:
+                break
+            attempts += 1
+            self._count_fault(fault.kind)
+            # The failed pick still wastes one arm motion.
+            wasted_start = self.env.now
+            yield self._timed(jukebox.timing.robot_swap_s)
+            self._log(
+                OpKind.FAULT,
+                drive,
+                wasted_start,
+                jukebox.timing.robot_swap_s,
+                tape_id=tape_id,
+                detail=fault.kind,
+            )
+            if self.retry is None or not self.retry.allows(attempts):
+                self._abandon_exchange(drive, tape_id)
+                return False
+            yield from self._backoff(drive, attempts, tape_id=tape_id)
+        self.contexts[drive].incoming = None
+        switch_start = self.env.now
+        duration = jukebox.switch_to(tape_id)
+        yield self._timed(duration)
+        self.metrics.on_tape_switch(self.env.now)
+        self._log(OpKind.SWITCH, drive, switch_start, duration, tape_id=tape_id)
+        return True
+
+    def _staged_exchange(self, drive: int, tape_id: int):
+        """Several drives: rewind, eject, shared arm, swap, load.
+
+        The drive claims ``tape_id`` first so no other drive grabs it
+        while this one rewinds and waits for the arm; the old tape's
+        claim is dropped once it is out.  A failed pick holds the arm
+        for one wasted motion.  Returns True when ``tape_id`` is mounted.
+        """
+        jukebox = self.bays[drive]
+        self.claims[tape_id] = drive
+        self.contexts[drive].incoming = tape_id
+        switch_start = self.env.now
+        old_tape = jukebox.mounted_id
+        if old_tape is not None:
+            yield self._timed(jukebox.drive.rewind())
+            yield self._timed(jukebox.drive.eject())
+        attempts = 0
+        while True:
+            yield self.robot.acquire()
+            fault = (
+                self.faults.robot_pick_fault(tape_id)
+                if self.faults is not None
+                else None
+            )
+            if fault is None:
+                yield self._timed(jukebox.robot.swap(tape_id))
+                self.robot.release()
+                break
+            self._count_fault(fault.kind)
+            wasted_start = self.env.now
+            yield self._timed(jukebox.timing.robot_swap_s)
+            self.robot.release()
+            self._log(
+                OpKind.FAULT,
+                drive,
+                wasted_start,
+                jukebox.timing.robot_swap_s,
+                tape_id=tape_id,
+                detail=fault.kind,
+            )
+            attempts += 1
+            if self.retry is None or not self.retry.allows(attempts):
+                self._abandon_exchange(drive, tape_id)
+                # The ejected cartridge goes back to its slot.
+                jukebox.robot.return_to_slot()
+                break
+            yield from self._backoff(drive, attempts, tape_id=tape_id)
+        if old_tape is not None:
+            del self.claims[old_tape]
+            self._wake_idle_drives()  # the old tape is free again
+        if fault is not None:
+            del self.claims[tape_id]
+            self._wake_idle_drives()
+            return False
+        load_s = jukebox.drive.load(jukebox.pool[tape_id])
+        self.contexts[drive].incoming = None
+        yield self._timed(load_s)
+        self.metrics.on_tape_switch(self.env.now)
+        self._log(
+            OpKind.SWITCH,
+            drive,
+            switch_start,
+            self.env.now - switch_start,
+            tape_id=tape_id,
+        )
+        return True
+
+    def _abandon_exchange(self, drive: int, tape_id: int) -> None:
+        """The cartridge is stuck: take the tape out of service and fail
+        over everything scheduled against it."""
+        context = self.contexts[drive]
+        context.incoming = None
+        self.faults.fail_tape(tape_id)
+        service = context.service
+        for entry in service.remaining():
+            self._resolve_replica_failure(drive, entry)
+        while not service.is_empty:
+            service.pop_next()
+        service.finish_in_flight()
+        self._drop_lost_requests()
 
     # ------------------------------------------------------------------
     # Completion and fault recovery
     # ------------------------------------------------------------------
-    def _locate_of(self, head_before_mb: float, entry: ServiceEntry) -> float:
+    def _locate_of(
+        self, jukebox: Jukebox, head_before_mb: float, entry: ServiceEntry
+    ) -> float:
         """Locate component of the access that just served ``entry``.
 
         ``DriveTimingModel.locate`` is pure (and memoized), so this
@@ -362,7 +546,7 @@ class JukeboxSimulator:
         """
         if self.obs is None:
             return 0.0
-        return self.jukebox.timing.locate(head_before_mb, entry.position_mb)
+        return jukebox.timing.locate(head_before_mb, entry.position_mb)
 
     def _deliver(
         self, entry: ServiceEntry, service_s: float, locate_s: float = 0.0
@@ -376,24 +560,46 @@ class JukeboxSimulator:
                 )
             if self.on_request_complete is not None:
                 self.on_request_complete(request, self.env.now)
-            if self.source.is_closed:
-                replacement = self.source.on_completion(self.env.now)
-                if replacement is not None:
-                    self.submit(replacement)
+            self._replenish()
 
-    def _recover_read(self, entry: ServiceEntry, fault):
+    def _replenish(self) -> None:
+        """A request left the system: keep a closed population constant."""
+        if self.source.is_closed:
+            replacement = self.source.on_completion(self.env.now)
+            if replacement is not None:
+                self.submit(replacement)
+
+    def _count_fault(self, kind: str) -> None:
+        self.metrics.on_fault(kind, self.env.now)
+        if self.qos is not None:
+            self.qos.on_fault()
+
+    def _backoff(self, drive: int, attempts: int, **where):
+        """Wait out the backoff before retry number ``attempts``."""
+        backoff_s = self.retry.backoff_s(attempts - 1)
+        self.metrics.on_retry(self.env.now)
+        if self.obs is not None:
+            self.obs.event(
+                self.env.now, "retry", drive=drive, attempt=attempts, **where
+            )
+        if backoff_s > 0:
+            backoff_start = self.env.now
+            yield backoff_s
+            self._log(OpKind.BACKOFF, drive, backoff_start, backoff_s, **where)
+
+    def _recover_read(self, drive: int, entry: ServiceEntry, fault):
         """Retry a faulted read in place; escalate to failover if futile."""
-        tape_id = self.jukebox.mounted_id
-        block_mb = self.context.catalog.block_mb
+        jukebox = self.bays[drive]
+        tape_id = jukebox.mounted_id
+        block_mb = self.catalog.block_mb
         attempts = 1
         if self.obs is not None:
             self.obs.on_fault(entry.requests, self.env.now)
         while True:
-            self.metrics.on_fault(fault.kind, self.env.now)
-            if self.qos is not None:
-                self.qos.on_fault()
+            self._count_fault(fault.kind)
             self._log(
                 OpKind.FAULT,
+                drive,
                 self.env.now,
                 0.0,
                 tape_id=tape_id,
@@ -407,32 +613,16 @@ class JukeboxSimulator:
                 and self.retry.allows(attempts)
             ):
                 break
-            backoff_s = self.retry.backoff_s(attempts - 1)
-            self.metrics.on_retry(self.env.now)
-            if self.obs is not None:
-                self.obs.event(
-                    self.env.now,
-                    "retry",
-                    drive=0,
-                    block_id=entry.block_id,
-                    attempt=attempts,
-                )
-            if backoff_s > 0:
-                backoff_start = self.env.now
-                yield backoff_s
-                self._log(
-                    OpKind.BACKOFF,
-                    backoff_start,
-                    backoff_s,
-                    tape_id=tape_id,
-                    block_id=entry.block_id,
-                )
+            yield from self._backoff(
+                drive, attempts, tape_id=tape_id, block_id=entry.block_id
+            )
             read_start = self.env.now
-            head_before = self.jukebox.head_mb if self.obs is not None else 0.0
-            duration = self.jukebox.access(entry.position_mb, block_mb)
+            head_before = jukebox.head_mb if self.obs is not None else 0.0
+            duration = jukebox.access(entry.position_mb, block_mb)
             yield self._timed(duration)
             self._log(
                 OpKind.READ,
+                drive,
                 read_start,
                 duration,
                 tape_id=tape_id,
@@ -444,14 +634,16 @@ class JukeboxSimulator:
             fault = self.faults.read_fault(tape_id, entry.block_id)
             if fault is None:
                 self._deliver(
-                    entry, duration, locate_s=self._locate_of(head_before, entry)
+                    entry,
+                    duration,
+                    locate_s=self._locate_of(jukebox, head_before, entry),
                 )
                 return
         # Permanent fault, or the retry budget ran out: this copy is done.
         self.faults.condemn_replica(tape_id, entry.block_id)
-        self._resolve_replica_failure(entry)
+        self._resolve_replica_failure(drive, entry)
 
-    def _resolve_replica_failure(self, entry: ServiceEntry) -> None:
+    def _resolve_replica_failure(self, drive: int, entry: ServiceEntry) -> None:
         """Fail over ``entry``'s requests to a surviving copy, or fail them."""
         if self.faults.surviving_replicas(entry.block_id):
             self.metrics.on_failover(len(entry.requests), self.env.now)
@@ -459,13 +651,14 @@ class JukeboxSimulator:
                 self.obs.event(
                     self.env.now,
                     "failover",
-                    drive=0,
+                    drive=drive,
                     block_id=entry.block_id,
                     requests=len(entry.requests),
                 )
                 self.obs.on_requeue(entry.requests, self.env.now, "failover")
             for request in entry.requests:
-                self.context.pending.append(request)
+                self.pending.append(request)
+            self._wake_idle_drives()
         else:
             for request in entry.requests:
                 self._fail_request(request)
@@ -475,26 +668,18 @@ class JukeboxSimulator:
         self.metrics.on_request_failed(request, self.env.now)
         if self.obs is not None:
             self.obs.on_failed(request, self.env.now)
-        if self.source.is_closed:
-            replacement = self.source.on_completion(self.env.now)
-            if replacement is not None:
-                self.submit(replacement)
+        self._replenish()
 
     def _expire_request(self, request: Request) -> None:
         """Expire ``request`` (keeps a closed population going)."""
         self.metrics.on_expired(request, self.env.now)
         if self.obs is not None:
             self.obs.on_expired(request, self.env.now)
-        if self.source.is_closed:
-            replacement = self.source.on_completion(self.env.now)
-            if replacement is not None:
-                self.submit(replacement)
+        self._replenish()
 
     def _expire_from_pending(self) -> None:
         """Remove and expire pending requests whose TTL has passed."""
-        for request in self.qos.expired_pending(
-            self.context.pending, self.env.now
-        ):
+        for request in self.qos.expired_pending(self.pending, self.env.now):
             self._expire_request(request)
 
     def _requeue_entries(self, entries: List[ServiceEntry]) -> None:
@@ -503,83 +688,36 @@ class JukeboxSimulator:
             if self.obs is not None:
                 self.obs.on_requeue(entry.requests, self.env.now, "drive-repair")
             for request in entry.requests:
-                self.context.pending.append(request)
+                self.pending.append(request)
+        self._wake_idle_drives()
 
     def _drop_lost_requests(self) -> None:
         """Fail pending requests whose every known copy is gone."""
-        lost = self.context.pending.lost()
+        lost = self.pending.lost()
         # Once nothing is readable, failing a request only issues a
         # closed-loop replacement that is lost again.
         if lost and not self.faults.all_blocks_lost():
-            self.context.pending.remove_many(lost)
+            self.pending.remove_many(lost)
             for request in lost:
                 self._fail_request(request)
 
-    def _switch_with_faults(self, tape_id: int):
-        """Mount ``tape_id`` under robot pick faults; True when mounted."""
-        # The old tape stays in the drive until a pick succeeds; arrivals
-        # meanwhile are planned against the incoming one.
-        self.context.incoming = tape_id
-        attempts = 0
-        while True:
-            fault = self.faults.robot_pick_fault(tape_id)
-            if fault is None:
-                self.context.incoming = None
-                switch_start = self.env.now
-                duration = self.jukebox.switch_to(tape_id)
-                yield self._timed(duration)
-                self.metrics.on_tape_switch(self.env.now)
-                self._log(OpKind.SWITCH, switch_start, duration, tape_id=tape_id)
-                return True
-            attempts += 1
-            self.metrics.on_fault(fault.kind, self.env.now)
-            if self.qos is not None:
-                self.qos.on_fault()
-            # The failed pick still wastes one arm motion.
-            wasted_start = self.env.now
-            yield self._timed(self.jukebox.timing.robot_swap_s)
-            self._log(
-                OpKind.FAULT,
-                wasted_start,
-                self.jukebox.timing.robot_swap_s,
-                tape_id=tape_id,
-                detail=fault.kind,
-            )
-            if self.retry is not None and self.retry.allows(attempts):
-                backoff_s = self.retry.backoff_s(attempts - 1)
-                self.metrics.on_retry(self.env.now)
-                if backoff_s > 0:
-                    backoff_start = self.env.now
-                    yield backoff_s
-                    self._log(OpKind.BACKOFF, backoff_start, backoff_s, tape_id=tape_id)
-                continue
-            # The cartridge is stuck: take the tape out of service and
-            # fail over everything scheduled against it.
-            self.context.incoming = None
-            self.faults.fail_tape(tape_id)
-            service = self.context.service
-            if service is not None:
-                for entry in service.remaining():
-                    self._resolve_replica_failure(entry)
-                while not service.is_empty:
-                    service.pop_next()
-                service.finish_in_flight()
-            self._drop_lost_requests()
-            return False
-
-    def _repair_drive(self):
-        """Take the drive down for repair; re-arm its failure clock."""
+    def _repair_drive(self, drive: int):
+        """Take one drive down for repair; re-arm its failure clock."""
+        jukebox = self.bays[drive]
         failure_start = self.env.now
         self.metrics.on_drive_failure(failure_start)
-        self.metrics.on_fault("drive-failure", failure_start)
-        if self.qos is not None:
-            self.qos.on_fault()
-        repair_s = self.faults.begin_repair(0, failure_start)
+        self._count_fault("drive-failure")
+        repair_s = self.faults.begin_repair(drive, failure_start)
         self.metrics.on_drive_repair(failure_start, repair_s)
         if self.obs is not None:
             self.obs.event(
-                failure_start, "drive-failure", drive=0, repair_s=repair_s
+                failure_start, "drive-failure", drive=drive, repair_s=repair_s
             )
-        self.jukebox.unload_for_repair()
-        self._log(OpKind.REPAIR, failure_start, repair_s, detail="drive-failure")
+        mounted = jukebox.mounted_id
+        jukebox.unload_for_repair()
+        if self.claims.get(mounted) == drive:
+            # Release the claim so surviving drives can mount this tape.
+            del self.claims[mounted]
+            self._wake_idle_drives()
+        self._log(OpKind.REPAIR, drive, failure_start, repair_s, detail="drive-failure")
         yield repair_s

@@ -120,7 +120,9 @@ class WritebackSimulator(JukeboxSimulator):
         **kwargs,
     ) -> None:
         super().__init__(*args, **kwargs)
-        self.delta = DeltaBuffer(catalog=self.context.catalog)
+        if len(self.contexts) > 1:
+            raise ValueError("write-back runs on a single drive")
+        self.delta = DeltaBuffer(catalog=self.catalog)
         self.write_interarrival_s = write_interarrival_s
         self.write_rng = write_rng
         self.piggyback = piggyback
@@ -145,17 +147,16 @@ class WritebackSimulator(JukeboxSimulator):
                 return
             yield delay
             if skew is not None:
-                block_id = skew.draw_block(self.write_rng, self.context.catalog)
+                block_id = skew.draw_block(self.write_rng, self.catalog)
             else:
-                block_id = self.write_rng.randrange(self.context.catalog.n_blocks)
+                block_id = self.write_rng.randrange(self.catalog.n_blocks)
             self.delta.stage(block_id, self.env.now)
-            if self._wakeup is not None and not self._wakeup.triggered:
-                self._wakeup.succeed()
+            self._wake_idle_drives()
 
     # ------------------------------------------------------------------
-    def _drive_process(self):
+    def _drive_process(self, drive: int):
         """The four-step loop, with write piggybacking and idle flushes."""
-        context = self.context
+        context = self.contexts[drive]
         block_mb = context.catalog.block_mb
         while True:
             while len(context.pending) == 0:
@@ -164,18 +165,18 @@ class WritebackSimulator(JukeboxSimulator):
                     if len(context.pending) > 0:
                         break
                     continue
-                self._wakeup = self.env.event()
-                yield self._wakeup
-                self._wakeup = None
+                self._wakeups[drive] = self.env.event()
+                yield self._wakeups[drive]
             if len(context.pending) == 0:
                 continue
 
-            decision = self.scheduler.major_reschedule(context)
+            decision = self.schedulers[drive].major_reschedule(context)
             if decision is None:  # pragma: no cover - pending non-empty
                 continue
 
-            switching = decision.tape_id != self.jukebox.mounted_id
-            start_head = 0.0 if switching else self.jukebox.head_mb
+            jukebox = self.bays[drive]
+            switching = decision.tape_id != jukebox.mounted_id
+            start_head = 0.0 if switching else jukebox.head_mb
             entries: List[ServiceEntry] = list(decision.entries)
             if self.piggyback:
                 scheduled_blocks = {entry.block_id for entry in entries}
@@ -187,18 +188,18 @@ class WritebackSimulator(JukeboxSimulator):
             service = ServiceList(entries, head_mb=start_head)
             context.service = service
             if switching:
-                duration = self.jukebox.switch_to(decision.tape_id)
+                duration = jukebox.switch_to(decision.tape_id)
                 yield self._timed(duration)
                 self.metrics.on_tape_switch(self.env.now)
 
             yield from self._execute_sweep(service, block_mb)
             context.service = None
-            self.scheduler.on_sweep_complete(context)
+            self.schedulers[drive].on_sweep_complete(context)
 
     def _execute_sweep(self, service: ServiceList, block_mb: float):
         while not service.is_empty:
             entry = service.pop_next()
-            duration = self.jukebox.access(entry.position_mb, block_mb)
+            duration = self.bays[0].access(entry.position_mb, block_mb)
             yield self._timed(duration)
             service.finish_in_flight()
             if isinstance(entry, _WriteEntry):
@@ -218,15 +219,17 @@ class WritebackSimulator(JukeboxSimulator):
             return
         tape_id = max(sorted(backlog), key=backlog.get)
         items = self.delta.items_for_tape(tape_id)
-        switching = tape_id != self.jukebox.mounted_id
-        start_head = 0.0 if switching else self.jukebox.head_mb
+        jukebox = self.bays[0]
+        context = self.contexts[0]
+        switching = tape_id != jukebox.mounted_id
+        start_head = 0.0 if switching else jukebox.head_mb
         service = ServiceList([_WriteEntry(item) for item in items], head_mb=start_head)
-        self.context.service = service
+        context.service = service
         self.idle_flush_sweeps += 1
         if switching:
-            duration = self.jukebox.switch_to(tape_id)
+            duration = jukebox.switch_to(tape_id)
             yield self._timed(duration)
             self.metrics.on_tape_switch(self.env.now)
         yield from self._execute_sweep(service, block_mb)
-        self.context.service = None
-        self.scheduler.on_sweep_complete(self.context)
+        context.service = None
+        self.schedulers[0].on_sweep_complete(context)

@@ -3,8 +3,10 @@
 This composes :class:`~repro.tape.drive.TapeDrive`,
 :class:`~repro.tape.robot.RobotArm`, and
 :class:`~repro.tape.tape.TapePool` into the single-drive jukebox the
-paper studies (an Exabyte EXB-210: 10 tapes x 7 GB).  Operations return
-durations; the service model turns them into simulated time.
+paper studies (an Exabyte EXB-210: 10 tapes x 7 GB).  A library with
+more drives is one jukebox per drive over a shared pool
+(:meth:`Jukebox.drive_bay`).  Operations return durations; the service
+model turns them into simulated time.
 """
 
 from __future__ import annotations
@@ -62,6 +64,20 @@ class Jukebox:
     def head_mb(self) -> float:
         """Current head position on the mounted tape (MB)."""
         return self.drive.head_mb
+
+    def drive_bay(self) -> "Jukebox":
+        """Another drive of this library, as a jukebox of its own.
+
+        The bay shares this jukebox's tape pool but has its own drive and
+        its own record of which cartridge its drive holds.  A multi-drive
+        service loop keeps any tape in at most one drive and serializes
+        the arm's motions across bays.
+        """
+        return Jukebox(
+            pool=self.pool,
+            drive=TapeDrive(timing=self.timing),
+            robot=RobotArm(timing=self.timing, slot_count=len(self.pool)),
+        )
 
     # ------------------------------------------------------------------
     def switch_to(self, tape_id: int) -> float:

@@ -6,7 +6,8 @@ from repro.core import make_scheduler
 from repro.des import Environment
 from repro.faults import FaultConfig, FaultInjector, RetryPolicy
 from repro.layout import Layout, PlacementSpec, build_catalog
-from repro.service import MetricsCollector, MultiDriveSimulator
+from repro.service import JukeboxSimulator, MetricsCollector
+from repro.tape import Jukebox
 from repro.workload import ClosedSource, HotColdSkew, OpenSource
 
 HORIZON = 40_000.0
@@ -30,15 +31,15 @@ def make_simulator(fault_config=None, drive_count=2, replicas=2, closed=True):
         if fault_config is not None
         else None
     )
-    return MultiDriveSimulator(
+    return JukeboxSimulator(
         env=Environment(),
+        jukebox=Jukebox.build(tape_count=6, capacity_mb=1000.0),
         catalog=catalog,
+        scheduler=[
+            make_scheduler("dynamic-max-bandwidth") for _ in range(drive_count)
+        ],
         source=source,
         metrics=MetricsCollector(block_mb=16.0, warmup_s=0.0),
-        scheduler_factory=lambda: make_scheduler("dynamic-max-bandwidth"),
-        drive_count=drive_count,
-        tape_count=6,
-        capacity_mb=1000.0,
         faults=faults,
     )
 
@@ -53,7 +54,7 @@ class TestMultiDriveDegradedMode:
         assert report.completed > 0
         # A failed drive must not strand its claimed tape.
         for tape_id, owner in simulator.claims.items():
-            assert simulator.drives[owner].mounted_id == tape_id
+            assert simulator.bays[owner].mounted_id == tape_id
 
     def test_failed_drive_releases_claim(self):
         simulator = make_simulator(
@@ -62,9 +63,7 @@ class TestMultiDriveDegradedMode:
         simulator.run(HORIZON)
         # Claims only ever point at mounted tapes; repairs drop the rest.
         mounted = {
-            drive.mounted_id
-            for drive in simulator.drives
-            if drive.mounted_id is not None
+            bay.mounted_id for bay in simulator.bays if bay.mounted_id is not None
         }
         assert set(simulator.claims) <= mounted
 

@@ -154,7 +154,7 @@ class TestDriveFailures:
         assert report.fault_counts["robot-pick"] > 0
         # The masked catalog steered later sweeps around the dead tapes.
         for tape_id in simulator.faults.failed_tapes:
-            assert not simulator.context.catalog.has_replica_on(0, tape_id)
+            assert not simulator.catalog.has_replica_on(0, tape_id)
 
 
 class TestPayForWhatYouUse:

@@ -108,12 +108,13 @@ def test_simulation_invariants(scheduler_name, layout, replicas, start_position,
     assert report.arrivals == report.total_completed + 15
 
     # 5. Pending + in-service account for every outstanding request.
-    outstanding = len(simulator.context.pending)
-    if simulator.context.service is not None:
-        for entry in simulator.context.service.remaining():
+    outstanding = len(simulator.pending)
+    service = simulator.contexts[0].service
+    if service is not None:
+        for entry in service.remaining():
             outstanding += len(entry.requests)
-        if simulator.context.service.in_flight is not None:
-            outstanding += len(simulator.context.service.in_flight.requests)
+        if service.in_flight is not None:
+            outstanding += len(service.in_flight.requests)
     assert outstanding == 15
 
     # 6. Progress: something completed within the horizon.

@@ -10,8 +10,8 @@ from repro.des import Environment, Resource
 from repro.experiments import ExperimentConfig
 from repro.layout import Layout, PlacementSpec, build_catalog
 from repro.obs import Tracer
-from repro.service import MetricsCollector
-from repro.service.multidrive import MultiDriveSimulator
+from repro.service import JukeboxSimulator, MetricsCollector
+from repro.tape import Jukebox
 from repro.workload import ClosedSource, HotColdSkew
 
 CAPACITY = 7 * 1024.0
@@ -31,14 +31,13 @@ def make_multidrive(drive_count, scheduler="dynamic-max-bandwidth", queue_length
     source = ClosedSource(
         queue_length, HotColdSkew(40.0), catalog, random.Random(seed)
     )
-    return MultiDriveSimulator(
+    return JukeboxSimulator(
         env=Environment(),
+        jukebox=Jukebox.build(tape_count=tape_count, capacity_mb=CAPACITY),
         catalog=catalog,
+        scheduler=[make_scheduler(scheduler) for _ in range(drive_count)],
         source=source,
         metrics=MetricsCollector(block_mb=BLOCK),
-        scheduler_factory=lambda: make_scheduler(scheduler),
-        drive_count=drive_count,
-        tape_count=tape_count,
     )
 
 
@@ -103,13 +102,13 @@ class TestConstruction:
         catalog = build_catalog(spec, 10, CAPACITY)
         source = ClosedSource(10, HotColdSkew(40.0), catalog, random.Random(1))
         with pytest.raises(ValueError, match="single-drive"):
-            MultiDriveSimulator(
+            JukeboxSimulator(
                 env=Environment(),
+                jukebox=Jukebox.build(capacity_mb=CAPACITY),
                 catalog=catalog,
+                scheduler=[make_scheduler("envelope-max-bandwidth") for _ in range(2)],
                 source=source,
                 metrics=MetricsCollector(block_mb=BLOCK),
-                scheduler_factory=lambda: make_scheduler("envelope-max-bandwidth"),
-                drive_count=2,
             )
 
 
@@ -142,9 +141,9 @@ class TestMultiDriveBehaviour:
 
         def spying_timed(duration):
             mounted = [
-                drive.mounted_id
-                for drive in simulator.drives
-                if drive.mounted_id is not None
+                bay.mounted_id
+                for bay in simulator.bays
+                if bay.mounted_id is not None
             ]
             mounted_sets.append(tuple(mounted))
             return original_timed(duration)

@@ -92,7 +92,8 @@ class TestSimulatorIntegration:
         # at operation *end*, so the op in flight at the horizon may be
         # counted but not yet logged.
         assert abs(len(reads) - report.total_completed) <= 1
-        assert simulator.jukebox.switches - 1 <= len(switches) <= simulator.jukebox.switches
+        hardware_switches = simulator.bays[0].switches
+        assert hardware_switches - 1 <= len(switches) <= hardware_switches
         log.validate_non_overlapping()
 
     def test_logged_busy_matches_metrics(self):

@@ -117,7 +117,7 @@ class TestClosedModel:
 
         simulator.metrics.on_completion = spy
         simulator.run(10_000.0)
-        catalog = simulator.context.catalog
+        catalog = simulator.catalog
         for request in completions:
             assert 0 <= request.block_id < catalog.n_blocks
             assert request.completion_s >= request.arrival_s

@@ -109,12 +109,12 @@ class TestZipfEndToEnd:
 class TestMultiDriveConfigIntegration:
     def test_drive_count_builds_multidrive(self):
         from repro.experiments import ExperimentConfig, build_simulator
-        from repro.service.multidrive import MultiDriveSimulator
 
         simulator = build_simulator(
             ExperimentConfig(drive_count=2, queue_length=20, horizon_s=10_000.0)
         )
-        assert isinstance(simulator, MultiDriveSimulator)
+        assert len(simulator.contexts) == 2
+        assert simulator.bays[0].pool is simulator.bays[1].pool
 
     def test_two_drive_run_via_config(self):
         from repro.experiments import ExperimentConfig, run_experiment
