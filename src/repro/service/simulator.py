@@ -232,7 +232,7 @@ class JukeboxSimulator:
 
     def _wake_idle_drives(self) -> None:
         for drive, wakeup in enumerate(self._wakeups):
-            if wakeup is not None and not wakeup.triggered:
+            if wakeup is not None:
                 wakeup.succeed()
                 self._wakeups[drive] = None
 
@@ -345,6 +345,7 @@ class JukeboxSimulator:
                     )
 
             # Step 3: execute the service list as one sweep.
+            tape_id = decision.tape_id
             drive_failed = False
             while not service.is_empty:
                 if self.faults is not None and self.faults.drive_failure_due(
@@ -382,12 +383,12 @@ class JukeboxSimulator:
                     drive,
                     read_start,
                     duration,
-                    tape_id=jukebox.mounted_id,
+                    tape_id=tape_id,
                     position_mb=entry.position_mb,
                     block_id=entry.block_id,
                 )
                 fault = (
-                    self.faults.read_fault(jukebox.mounted_id, entry.block_id)
+                    self.faults.read_fault(tape_id, entry.block_id)
                     if self.faults is not None
                     else None
                 )

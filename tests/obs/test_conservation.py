@@ -15,12 +15,16 @@ Three properties hold for every traced run:
 
 import pytest
 
+from repro.api import run
 from repro.experiments import ExperimentConfig
-from repro.experiments.runner import run_experiment
 from repro.faults import FaultConfig, RetryPolicy
 from repro.obs import Tracer, TraceSummary
 from repro.qos import QoSConfig
 from repro.service.metrics import report_digest
+
+#: These tests run through ``repro.api.run``; a deprecated shim sneaking
+#: back in fails them.
+pytestmark = pytest.mark.filterwarnings("error::DeprecationWarning")
 
 BASE = ExperimentConfig(
     tape_count=5, queue_length=20, horizon_s=40_000.0, seed=11
@@ -54,7 +58,7 @@ TOLERANCE_S = 1e-5
 
 def traced_run(config):
     tracer = Tracer()
-    result = run_experiment(config, obs=tracer)
+    result = run(config, obs=tracer)
     return result, tracer
 
 
@@ -91,8 +95,8 @@ def test_summary_reconciles_with_metrics(name):
 @pytest.mark.parametrize("name", sorted(MATRIX))
 def test_tracer_does_not_perturb_the_run(name):
     config = MATRIX[name]
-    untraced = report_digest(run_experiment(config).report)
-    traced = report_digest(run_experiment(config, obs=Tracer()).report)
+    untraced = report_digest(run(config).report)
+    traced = report_digest(run(config, obs=Tracer()).report)
     assert traced == untraced, (
         f"{name}: attaching a tracer changed the simulation"
     )
@@ -104,7 +108,7 @@ def test_traced_run_matches_golden_pins():
 
     for name in ("fig4_fifo", "fig4_multidrive"):
         digest = report_digest(
-            run_experiment(CASES[name], obs=Tracer()).report
+            run(CASES[name], obs=Tracer()).report
         )
         assert digest == GOLDEN[name], f"{name} drifted under tracing"
 

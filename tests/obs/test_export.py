@@ -4,8 +4,8 @@ import json
 
 import pytest
 
+from repro.api import run
 from repro.experiments import ExperimentConfig
-from repro.experiments.runner import run_experiment
 from repro.faults import FaultConfig, RetryPolicy
 from repro.obs import (
     JSONL_SCHEMA,
@@ -17,6 +17,10 @@ from repro.obs import (
     write_chrome_trace,
     write_jsonl,
 )
+
+#: These tests run through ``repro.api.run``; a deprecated shim sneaking
+#: back in fails them.
+pytestmark = pytest.mark.filterwarnings("error::DeprecationWarning")
 
 CONFIG = ExperimentConfig(
     tape_count=5,
@@ -31,7 +35,7 @@ CONFIG = ExperimentConfig(
 @pytest.fixture(scope="module")
 def tracer():
     obs = Tracer()
-    run_experiment(CONFIG, obs=obs)
+    run(CONFIG, obs=obs)
     return obs
 
 
@@ -40,7 +44,7 @@ class TestJsonl:
         texts = []
         for _ in range(2):
             obs = Tracer()
-            run_experiment(CONFIG, obs=obs)
+            run(CONFIG, obs=obs)
             texts.append("\n".join(trace_to_jsonl(obs)))
         assert texts[0] == texts[1]
 

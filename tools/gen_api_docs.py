@@ -6,13 +6,18 @@ public top-level names) with the first line of their docstrings, and
 writes a browsable Markdown reference.  Run from the repository root::
 
     python tools/gen_api_docs.py
+
+``--check`` renders without writing and exits 1 when docs/API.md is out
+of date (CI runs it so a changed public surface regenerates the file).
 """
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import inspect
 import pkgutil
+import sys
 from pathlib import Path
 
 import repro
@@ -129,9 +134,26 @@ def render() -> str:
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="compare with docs/API.md instead of writing it; exit 1 on drift",
+    )
+    args = parser.parse_args()
     output = Path(__file__).resolve().parent.parent / "docs" / "API.md"
+    text = render()
+    if args.check:
+        if not output.exists() or output.read_text() != text:
+            print(
+                f"{output} is out of date; run python tools/gen_api_docs.py",
+                file=sys.stderr,
+            )
+            sys.exit(1)
+        print(f"{output} is up to date")
+        return
     output.parent.mkdir(exist_ok=True)
-    output.write_text(render())
+    output.write_text(text)
     print(f"wrote {output} ({output.stat().st_size} bytes)")
 
 
