@@ -216,11 +216,14 @@ class JukeboxSimulator:
             # request at the same instant would be shed again forever).
             return
         target = None
+        last = len(self.contexts) - 1
         for drive, context in enumerate(self.contexts):
             if context.service is None:
                 continue
             if target is None:
                 target = drive
+                if drive == last:
+                    break  # no other sweep could claim the request
             if self.catalog.has_replica_on(request.block_id, context.mounted_id):
                 target = drive
                 break
