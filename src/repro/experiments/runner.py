@@ -138,7 +138,9 @@ def build_simulator(
         env=env,
         jukebox=jukebox,
         catalog=catalog,
-        scheduler=[make_scheduler(config.scheduler) for _ in range(config.drive_count)],
+        scheduler=[
+            make_scheduler(config.scheduler) for _ in range(config.drive_count)
+        ],
         source=source,
         metrics=metrics,
         faults=faults,

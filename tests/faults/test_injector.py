@@ -107,6 +107,16 @@ class TestBadReplicas:
         injector.condemn_replica(replica.tape_id, 0)
         assert injector.block_lost(0)
 
+    def test_all_blocks_lost_once_every_tape_failed(self):
+        catalog = make_catalog(tape_count=3, replicas=1)
+        injector = FaultInjector(FaultConfig(media_error_rate=0.1), catalog)
+        assert not injector.all_blocks_lost()
+        injector.fail_tape(0)
+        injector.fail_tape(1)
+        assert not injector.all_blocks_lost()
+        injector.fail_tape(2)
+        assert injector.all_blocks_lost()
+
 
 class TestRobotAndDrives:
     def test_robot_pick_fault(self):

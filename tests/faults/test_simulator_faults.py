@@ -157,6 +157,60 @@ class TestDriveFailures:
             assert not simulator.catalog.has_replica_on(0, tape_id)
 
 
+class TestNothingLeftToRead:
+    """Closed loops keep replacing failed requests, so a request with no
+    live copy can reach a scheduler, and once every copy is gone every
+    replacement is lost too."""
+
+    LOSSY = ExperimentConfig(
+        tape_count=6,
+        capacity_mb=2000.0,
+        horizon_s=12_000.0,
+        faults=FaultConfig(robot_pick_error_rate=0.3, seed=0),
+    )
+
+    @pytest.mark.parametrize("drive_count", [1, 2])
+    def test_run_reaches_its_horizon_after_every_tape_failed(self, drive_count):
+        config = self.LOSSY.with_(
+            scheduler="static-oldest-max-bandwidth",
+            drive_count=drive_count,
+            replicas=1,
+            layout=Layout.VERTICAL,
+            queue_length=8,
+            seed=98,
+            faults=FaultConfig(
+                robot_pick_error_rate=0.3,
+                media_error_rate=0.05,
+                seed=0,
+                retry=RetryPolicy(max_attempts=1),
+            ),
+        )
+        report = run(config).report
+        assert report.failed_requests > 0
+        assert report.measured_s == pytest.approx(
+            config.horizon_s * (1 - config.warmup_fraction)
+        )
+
+    def test_envelope_leaves_lost_requests_to_the_loop(self):
+        report = run(
+            self.LOSSY.with_(
+                scheduler="envelope-max-bandwidth", queue_length=20, seed=0
+            )
+        ).report
+        assert report.failed_requests > 0
+
+    def test_fifo_skips_an_oldest_request_with_no_copy(self):
+        report = run(
+            self.LOSSY.with_(
+                scheduler="fifo",
+                queue_length=1,
+                seed=2,
+                faults=FaultConfig(bad_replica_rate=0.5, seed=2),
+            )
+        ).report
+        assert report.failed_requests > 0
+
+
 class TestPayForWhatYouUse:
     def test_disabled_faults_bit_identical_via_runner(self):
         base = ExperimentConfig(
