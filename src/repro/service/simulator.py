@@ -278,13 +278,6 @@ class JukeboxSimulator:
         self.metrics.on_drive_busy(self.env.now, duration_s)
         return duration_s
 
-    def _idle(self, drive: int):
-        """Wait until something may have given ``drive`` work."""
-        idle_start = self.env.now
-        wakeup = self._wakeups[drive] = self.env.event()
-        yield wakeup
-        self._log(OpKind.IDLE, drive, idle_start, self.env.now - idle_start)
-
     def _drive_process(self, drive: int):
         """The paper's four-step service loop for one drive."""
         context = self.contexts[drive]
@@ -313,7 +306,11 @@ class JukeboxSimulator:
                 # has no live copy left: the top of the loop fails the
                 # latter, unless nothing is readable at all.
                 if not pending.lost() or self.faults.all_blocks_lost():
-                    yield from self._idle(drive)
+                    idle_start = self.env.now
+                    self._wakeups[drive] = self.env.event()
+                    yield self._wakeups[drive]
+                    idle_s = self.env.now - idle_start
+                    self._log(OpKind.IDLE, drive, idle_start, idle_s)
                 continue
             if self.faults is not None and self.faults.tape_failed(decision.tape_id):
                 # Backstop for schedulers that plan outside the masked
