@@ -138,6 +138,14 @@ CASES = {
             deadline_s=3000.0, admission="bounded-queue", max_pending=40
         ),
     ),
+    "open_single_drive_idle_failures": FIG4.with_(
+        queue_length=None,
+        mean_interarrival_s=600.0,
+        replicas=1,
+        faults=FaultConfig(
+            media_error_rate=0.02, drive_mtbf_s=8000.0, drive_mttr_s=1200.0
+        ),
+    ),
     "open_multidrive_drive_failures": FIG4.with_(
         queue_length=None,
         mean_interarrival_s=40.0,
@@ -186,6 +194,9 @@ GOLDEN = {
     # loops were folded into one.
     "fig4_pick_exhaustion_drive_failures": "98fcf1f7ea62e6fd8a7f124ea19bbb3bc076ce1919cb5566139513ac097dc29c",
     "open_single_drive_qos": "f764855339838abda3e0ebd0f8e1b8c5ab294c01c7d54f9e5cc01fca11a8f7f2",
+    # A single drive that fails while idle is repaired before it mounts
+    # (light open load, so failures fall due during idle waits).
+    "open_single_drive_idle_failures": "635599b264dd38f4f0876a78995944b55f3c5d0ff4d6a7c12f5aa59c84c9503a",
     # Open arrivals on two drives with drive failures and repairs.
     "open_multidrive_drive_failures": "bcca9bdf251c217ee9a7fd2934479a6fba9f61596a106d66df5cd42d487ed2ef",
 }
