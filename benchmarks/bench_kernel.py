@@ -16,12 +16,6 @@ Measures, and records into ``BENCH_kernel.json`` at the repository root:
 4. **Envelope-compute scaling.**  Best-of-three wall-clock of one
    envelope major reschedule at n = 35/140/560 pending requests
    (t = 10 tapes, NR-9), and requests scheduled per second.
-5. **Envelope incremental steady state.**  The same reschedule under
-   churn (arrivals + sweep completions between decisions) through an
-   :class:`~repro.core.EnvelopeIndex`-maintained pending list, versus
-   the identical churn sequence through the full rebuild path — the
-   per-decision throughput the scheduler actually sees mid-run, and
-   the same-machine incremental/full ratio the CI gate checks.
 
 The file keeps two measurement sets: ``baseline`` (recorded once, on
 the pre-optimization tree, via ``--record-baseline``) and ``current``
@@ -45,18 +39,17 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_JSON = REPO_ROOT / "BENCH_kernel.json"
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.core import EnvelopeComputer, EnvelopeIndex, PendingList  # noqa: E402
+from repro.api import run  # noqa: E402
+from repro.core import EnvelopeComputer  # noqa: E402
 from repro.des import Environment  # noqa: E402
 from repro.experiments import ExperimentConfig  # noqa: E402
-from repro.experiments.runner import run_experiment  # noqa: E402
 from repro.layout import Layout, PlacementSpec, build_catalog  # noqa: E402
 from repro.tape import EXB_8505XL  # noqa: E402
 from repro.workload import HotColdSkew, RequestFactory  # noqa: E402
 
 SCHEMA = "bench-kernel/2"
 
-#: Older payloads whose baseline section is still comparable (v2 only
-#: added the ``envelope_incremental`` section to ``current``).
+#: Payload schemas whose baseline section is still comparable.
 COMPATIBLE_SCHEMAS = (SCHEMA, "bench-kernel/1")
 
 #: The four-family subset of Figure 4 used for the end-to-end number.
@@ -168,7 +161,7 @@ def bench_schedulers(horizon_s: float, queue: int) -> dict:
         else:
             config = _fig4_config(scheduler, queue, horizon_s)
         start = time.perf_counter()
-        result = run_experiment(config)
+        result = run(config)
         wall_s = time.perf_counter() - start
         out[scheduler] = {
             "wall_s": round(wall_s, 4),
@@ -194,7 +187,7 @@ def bench_fig4_end_to_end(horizon_s: float, queues, repeats: int = 3) -> dict:
         for scheduler in FIG4_FAMILIES:
             for queue in queues:
                 config = _fig4_config(scheduler, queue, horizon_s)
-                completed += run_experiment(config).report.completed
+                completed += run(config).report.completed
         wall_s = time.perf_counter() - start
         if best_s is None or wall_s < best_s:
             best_s = wall_s
@@ -247,102 +240,6 @@ def bench_envelope_scaling(sizes, repeats: int = 3) -> dict:
 
 
 # ----------------------------------------------------------------------
-# 5. Envelope incremental steady state
-# ----------------------------------------------------------------------
-def _churned_decisions(
-    size: int, decisions: int, churn: int, use_index: bool
-) -> list:
-    """Per-decision wall-clocks of major reschedules under churn.
-
-    Between decisions (untimed — it is workload bookkeeping, not
-    scheduling cost) each cycle retires ``churn`` pending requests (a
-    sweep finishing) and admits ``churn`` fresh arrivals.  The timed
-    region is the decision path the scheduler actually pays per major
-    reschedule: ``pending.snapshot()`` plus the envelope compute —
-    either through an :class:`EnvelopeIndex` kept current by the
-    pending list's listener protocol (dirty-tape merge included), or
-    through the full rebuild-per-compute path over the identical
-    request sequence.
-    """
-    import random
-
-    tapes = 10
-    spec = PlacementSpec(
-        layout=Layout.VERTICAL, percent_hot=10, replicas=9, start_position=1.0
-    )
-    catalog = build_catalog(spec, tapes, 7 * 1024.0)
-    skew = HotColdSkew(40.0)
-    rng = random.Random(7)
-    factory = RequestFactory()
-
-    def arrival() -> object:
-        return factory.create(
-            block_id=skew.draw_block(rng, catalog), arrival_s=0.0
-        )
-
-    pending = PendingList(catalog)
-    for _ in range(size):
-        pending.append(arrival())
-    index = EnvelopeIndex(pending) if use_index else None
-    computer = EnvelopeComputer(
-        timing=EXB_8505XL,
-        catalog=catalog,
-        tape_count=tapes,
-        mounted_id=0,
-        head_mb=0.0,
-    )
-
-    walls = []
-    for _ in range(decisions):
-        retired = rng.sample(pending.snapshot(), churn)
-        pending.remove_many(retired)
-        for _ in range(churn):
-            pending.append(arrival())
-        start = time.perf_counter()
-        computer.compute(pending.snapshot(), index=index)
-        walls.append(time.perf_counter() - start)
-    if index is not None:
-        index.detach()
-    return walls
-
-
-def bench_envelope_incremental(sizes, decisions: int = 30, churn: int = 8) -> dict:
-    """Indexed reschedule throughput under churn, vs the full path.
-
-    Both paths replay the identical churn sequence (same seed), so the
-    ``speedup_vs_full`` ratio is machine-independent — that ratio, not
-    an absolute wall time, is what the perf CI gates on.
-
-    ``wall_s``/``requests_per_s`` follow :func:`bench_envelope_scaling`'s
-    best-of methodology (the fastest single decision) so the headline
-    is directly comparable to the ``envelope_compute`` trajectory;
-    ``steady_wall_s``/``steady_requests_per_s`` are the mean over all
-    decisions and include the drag of lazily tombstoned rows between
-    compactions — what a long run actually sees.
-    """
-    out = {}
-    for size in sizes:
-        full = []
-        incremental = []
-        for _ in range(2):
-            full.extend(_churned_decisions(size, decisions, churn, use_index=False))
-            incremental.extend(
-                _churned_decisions(size, decisions, churn, use_index=True)
-            )
-        best = min(incremental)
-        steady = sum(incremental) / len(incremental)
-        out[str(size)] = {
-            "wall_s": round(best, 5),
-            "full_wall_s": round(min(full), 5),
-            "steady_wall_s": round(steady, 5),
-            "requests_per_s": round(size / best, 1),
-            "steady_requests_per_s": round(size / steady, 1),
-            "speedup_vs_full": round(min(full) / best, 2),
-        }
-    return out
-
-
-# ----------------------------------------------------------------------
 # Harness
 # ----------------------------------------------------------------------
 def measure(quick: bool) -> dict:
@@ -356,7 +253,6 @@ def measure(quick: bool) -> dict:
         schedulers = bench_schedulers(horizon_s=40_000.0, queue=60)
         fig4 = bench_fig4_end_to_end(horizon_s=30_000.0, queues=(20, 60))
         envelope = bench_envelope_scaling((35, 140))
-        incremental = bench_envelope_incremental((140,), decisions=15)
     else:
         kernel = {
             "timeout_cycle_events_per_s": round(bench_timeout_cycles(200_000), 1),
@@ -367,14 +263,12 @@ def measure(quick: bool) -> dict:
         schedulers = bench_schedulers(horizon_s=100_000.0, queue=100)
         fig4 = bench_fig4_end_to_end(horizon_s=60_000.0, queues=(20, 60, 100))
         envelope = bench_envelope_scaling((35, 140, 560))
-        incremental = bench_envelope_incremental((35, 140, 560))
     return {
         "quick": quick,
         "kernel": kernel,
         "schedulers": schedulers,
         "fig4_end_to_end": fig4,
         "envelope_compute": envelope,
-        "envelope_incremental": incremental,
     }
 
 
@@ -409,26 +303,12 @@ def _speedup(baseline: dict, current: dict) -> dict:
             )
             for size in sorted(shared, key=int)
         }
-        # The acceptance headline: steady-state indexed throughput vs
-        # the baseline's full-rebuild-per-decision rate, per queue size.
-        incremental = current.get("envelope_incremental", {})
-        shared = set(baseline["envelope_compute"]) & set(incremental)
-        if shared:
-            out["envelope_incremental_vs_baseline"] = {
-                size: round(
-                    incremental[size]["requests_per_s"]
-                    / baseline["envelope_compute"][size]["requests_per_s"],
-                    2,
-                )
-                for size in sorted(shared, key=int)
-            }
     return out
 
 
 def check_regression(payload_path: Path, fresh: dict, tolerance: float) -> int:
     """Fail (nonzero) when fresh kernel events/sec regressed vs baseline."""
     committed = json.loads(payload_path.read_text())
-    failed = False
     floor = _events_per_s(committed["baseline"]) * (1.0 - tolerance)
     fresh_rate = _events_per_s(fresh)
     print(
@@ -439,30 +319,6 @@ def check_regression(payload_path: Path, fresh: dict, tolerance: float) -> int:
     )
     if fresh_rate < floor:
         print("perf gate: FAIL — kernel events/sec regressed past tolerance")
-        failed = True
-    # Envelope incremental gate is a same-machine ratio (indexed path
-    # vs full rebuild over the identical churn), so runner speed
-    # cancels out; only the committed ratio minus tolerance remains.
-    fresh_incremental = fresh.get("envelope_incremental", {})
-    committed_incremental = committed.get("current", {}).get(
-        "envelope_incremental", {}
-    )
-    for size in sorted(set(fresh_incremental) & set(committed_incremental), key=int):
-        fresh_ratio = fresh_incremental[size]["speedup_vs_full"]
-        ratio_floor = committed_incremental[size]["speedup_vs_full"] * (
-            1.0 - tolerance
-        )
-        print(
-            f"perf gate: envelope incremental n={size} "
-            f"{fresh_ratio:.2f}x vs full (floor {ratio_floor:.2f}x)"
-        )
-        if fresh_ratio < ratio_floor:
-            print(
-                "perf gate: FAIL — envelope incremental ratio regressed "
-                "past tolerance"
-            )
-            failed = True
-    if failed:
         return 1
     print("perf gate: OK")
     return 0

@@ -25,7 +25,6 @@ from .exact import (
 )
 from .envelope import (
     EnvelopeComputer,
-    EnvelopeIndex,
     EnvelopeScheduler,
     EnvelopeState,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "GreedyCostScheduler",
     "OrderedServiceList",
     "EnvelopeComputer",
-    "EnvelopeIndex",
     "EnvelopeScheduler",
     "EnvelopeState",
     "ExtensionCostTracker",

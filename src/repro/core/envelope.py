@@ -15,39 +15,33 @@ tape-selection policy then picks which tape to visit first, and all
 requests satisfiable inside the envelope on that tape form the sweep.
 
 With no replicated blocks every request is its own envelope pin, steps
-3-6 degenerate to absorbing each request on its only tape, and the
-algorithm behaves exactly like the corresponding dynamic algorithm —
-matching the paper's remark that max-bandwidth envelope "degenerates
-into the dynamic max-bandwidth algorithm" without replicas.
+3-6 degenerate to absorbing each request on its only tape, and each
+tape's satisfiable set is exactly its pending requests.  The paper
+remarks that envelope then "degenerates into the dynamic max-bandwidth
+algorithm".  Here that holds bit for bit for the request-count policies
+(``envelope-max-requests`` and ``envelope-oldest-max-requests`` report
+the same digests as their ``dynamic-*`` twins) but not for
+max-bandwidth: :meth:`EnvelopeScheduler.major_reschedule` hands the
+policy one position per coalesced block, while the dynamic scheduler's
+:meth:`~repro.core.pending.PendingList.positions_on` lists one per
+request, so several pending requests for one block weigh a tape's
+bandwidth estimate differently.
 
 Performance model
 -----------------
-Every major reschedule used to rebuild the computer's working state —
-the per-block replica cache and the per-tape candidate rows, sorted by
-``(position, request_id)`` — from the full pending set, which made the
-envelope family the slowest scheduler by a wide margin.  Two layers fix
-that without changing a single scheduling decision:
-
-* :class:`EnvelopeIndex` keeps the candidate rows *incrementally*: it
-  subscribes to the :class:`~repro.core.pending.PendingList`, absorbs
-  each arrival into the affected tapes' rows (dirty-marking just those
-  tapes for a cheap near-sorted re-sort at the next compute), and
-  tombstones removals so completed sweeps shrink only the tapes they
-  touched (a full compaction runs when dead rows outnumber live ones).
-  :meth:`EnvelopeComputer.compute` then starts from the maintained
-  index instead of re-deriving it, and falls back to a full rebuild
-  whenever the index cannot vouch for itself (fault-masked catalogs,
-  request-count mismatch, or no index at all).  The algorithm proper is
-  re-run over identical inputs either way, so the resulting
-  :class:`EnvelopeState` is bit-identical by construction — a property
-  the equivalence suite asserts over random interleavings.
-
-* Inside one compute, the step-3 search evaluates incremental
-  bandwidth through flattened timing constants
-  (:func:`~repro.core.cost.extension_constants`) instead of per-length
-  tracker calls, and the absorb rescan after an extension only visits
-  requests whose replica on the extended tape newly fell inside the
-  envelope — the only requests whose absorption status can change.
+Every major reschedule rebuilds the computer's working state — the
+per-block replica cache and the per-tape candidate rows, sorted by
+``(position, request_id)`` — from the pending snapshot.  Keeping those
+rows between decisions only moved the same work into the pending list's
+append/remove path: measured end to end on the Fig. 8 regime it saved
+nothing, so the rebuild is the only path.  Inside one compute, the
+step-3 search evaluates incremental bandwidth through flattened timing
+constants (:func:`~repro.core.cost.extension_constants`) instead of
+per-length tracker calls, keeps each tape's candidate list across
+rounds until its envelope or candidate set moves, and the absorb rescan
+after an extension only visits requests whose replica on the extended
+tape newly fell inside the envelope — the only requests whose
+absorption status can change.
 """
 
 from __future__ import annotations
@@ -63,7 +57,6 @@ from ..tape.timing import DriveTimingModel
 from ..workload.requests import Request
 from .base import MajorDecision, Scheduler, SchedulerContext, coalesce_entries
 from .cost import MB, ExtensionCostTracker, extension_constants
-from .pending import PendingList
 from .policies import SelectionContext, TapeSelectionPolicy, jukebox_order
 from .sweep import ServiceEntry
 
@@ -107,157 +100,6 @@ class EnvelopeState:
         self.scheduled_count[replica.tape_id] = (
             self.scheduled_count.get(replica.tape_id, 0) + 1
         )
-
-
-class EnvelopeIndex:
-    """Incrementally maintained candidate rows over a pending list.
-
-    The index mirrors the pending list's membership as per-tape rows
-    ``(position_mb, request_id, request, replica)`` sorted by
-    ``(position, request_id)`` — exactly the working state
-    :meth:`EnvelopeComputer.compute` used to rebuild per call:
-
-    * **Arrival** appends the request's replicas to the affected tapes'
-      add-buffers and dirty-marks those tapes; the next compute merges
-      and re-sorts only dirty tapes (timsort on a nearly-sorted list).
-    * **Removal** (a scheduled sweep, QoS expiry, a fault losing a
-      tape) tombstones the request ids; rows are a *superset* of the
-      live pending set, and every consumer already filters rows against
-      the live request-id set, so stale rows are invisible.  When dead
-      rows outnumber live ones the index compacts — a single amortized
-      rebuild of the tapes that shrank.
-    * **Re-appearance** (a fault-requeued request id) just clears the
-      tombstone: with a static catalog the physical rows are unchanged.
-
-    The index disables itself on catalogs whose replica answers can
-    change mid-run (``dynamic_replicas``, i.e. fault masking): there an
-    append-time row could go stale, so the computer keeps the original
-    rebuild-per-compute path.  ``live_count`` lets the computer verify
-    the index covers exactly the request set it was handed and fall
-    back otherwise.
-    """
-
-    #: Compact only past this many dead rows (skip trivial churn).
-    _COMPACT_FLOOR = 512
-
-    def __init__(self, pending: PendingList) -> None:
-        self.pending = pending
-        self.catalog: BlockCatalog = pending.catalog
-        #: False when the catalog's replica map can change mid-run.
-        self.enabled = not bool(getattr(self.catalog, "dynamic_replicas", False))
-        #: block_id -> replicas, resolved once per block (static catalog).
-        self.block_replicas: Dict[int, Tuple[Replica, ...]] = {}
-        #: tape_id -> sorted rows (may contain tombstoned entries).
-        self.rows: Dict[int, List[Tuple[float, int, Request, Replica]]] = {}
-        self._adds: Dict[int, List[Tuple[float, int, Request, Replica]]] = {}
-        self._dirty: Set[int] = set()
-        self._dead: Set[int] = set()
-        self._dead_rows = 0
-        self._live_rows = 0
-        #: Live (non-tombstoned) request count — must equal the pending
-        #: list's length whenever the index is consistent.
-        self.live_count = 0
-        #: Compactions performed (observability for tests/benchmarks).
-        self.compactions = 0
-        if self.enabled:
-            for request in pending:
-                self.on_pending_append(request)
-            pending.add_listener(self)
-
-    def detach(self) -> None:
-        """Unsubscribe from the pending list (when the scheduler moves on)."""
-        if self.enabled:
-            self.pending.remove_listener(self)
-
-    def _replicas(self, block_id: int) -> Tuple[Replica, ...]:
-        replicas = self.block_replicas.get(block_id)
-        if replicas is None:
-            replicas = self.block_replicas[block_id] = self.catalog.replicas_of(
-                block_id
-            )
-        return replicas
-
-    # -- PendingList listener protocol ----------------------------------
-    def on_pending_append(self, request: Request) -> None:
-        """Absorb one arrival into the affected tapes' rows."""
-        request_id = request.request_id
-        replicas = self._replicas(request.block_id)
-        self.live_count += 1
-        self._live_rows += len(replicas)
-        if request_id in self._dead:
-            # A requeued request id: its rows are still physically
-            # present under a tombstone, and the catalog is static, so
-            # clearing the tombstone restores them verbatim.
-            self._dead.discard(request_id)
-            self._dead_rows -= len(replicas)
-            return
-        adds = self._adds
-        dirty = self._dirty
-        for replica in replicas:
-            tape_id = replica.tape_id
-            bucket = adds.get(tape_id)
-            if bucket is None:
-                bucket = adds[tape_id] = []
-            bucket.append((replica.position_mb, request_id, request, replica))
-            dirty.add(tape_id)
-
-    def on_pending_remove(self, requests: Sequence[Request]) -> None:
-        """Tombstone removed requests; their rows die lazily."""
-        dead = self._dead
-        for request in requests:
-            degree = len(self._replicas(request.block_id))
-            dead.add(request.request_id)
-            self._dead_rows += degree
-            self._live_rows -= degree
-            self.live_count -= 1
-
-    # -- consumption -----------------------------------------------------
-    def refresh(self, requests: Sequence[Request]) -> None:
-        """Make the rows current: merge dirty tapes, compact if bloated.
-
-        ``requests`` is the live pending snapshot the caller is about
-        to compute over; it doubles as the row source for compaction.
-        """
-        if self._dirty:
-            rows = self.rows
-            adds = self._adds
-            for tape_id in self._dirty:
-                fresh = adds.pop(tape_id)
-                bucket = rows.get(tape_id)
-                if bucket is None:
-                    fresh.sort()
-                    rows[tape_id] = fresh
-                else:
-                    bucket.extend(fresh)
-                    bucket.sort()
-            self._dirty.clear()
-        if self._dead_rows > self._COMPACT_FLOOR and self._dead_rows > self._live_rows:
-            self._compact(requests)
-
-    def _compact(self, requests: Sequence[Request]) -> None:
-        """Drop tombstoned rows by rebuilding from the live snapshot."""
-        rows: Dict[int, List[Tuple[float, int, Request, Replica]]] = {}
-        live_rows = 0
-        for request in requests:
-            request_id = request.request_id
-            replicas = self._replicas(request.block_id)
-            live_rows += len(replicas)
-            for replica in replicas:
-                tape_id = replica.tape_id
-                bucket = rows.get(tape_id)
-                if bucket is None:
-                    bucket = rows[tape_id] = []
-                bucket.append((replica.position_mb, request_id, request, replica))
-        for bucket in rows.values():
-            bucket.sort()
-        self.rows = rows
-        self._adds = {}
-        self._dirty.clear()
-        self._dead.clear()
-        self._dead_rows = 0
-        self._live_rows = live_rows
-        self.live_count = len(requests)
-        self.compactions += 1
 
 
 class EnvelopeComputer:
@@ -309,7 +151,7 @@ class EnvelopeComputer:
         )
 
     def _build_working_state(self, requests: Sequence[Request]) -> None:
-        """The rebuild-from-scratch path: replica cache + sorted rows."""
+        """Replica cache + per-tape rows sorted by ``(position, request_id)``."""
         catalog = self._catalog
         replicas_of: Dict[int, Tuple[Replica, ...]] = {}
         by_tape: Dict[int, List[Tuple[float, int, Request, Replica]]] = {}
@@ -328,9 +170,7 @@ class EnvelopeComputer:
         self._by_tape = by_tape
 
     # -- the algorithm ---------------------------------------------------
-    def compute(
-        self, requests: Sequence[Request], index: Optional[EnvelopeIndex] = None
-    ) -> EnvelopeState:
+    def compute(self, requests: Sequence[Request]) -> EnvelopeState:
         """Compute the upper envelope covering all ``requests``.
 
         ``requests`` is not copied: the single defensive copy in the
@@ -339,32 +179,13 @@ class EnvelopeComputer:
         be mutated while this call runs — do **not** wrap the argument
         in another ``list(...)``.
 
-        ``index`` may supply an :class:`EnvelopeIndex` maintained over
-        the same pending membership as ``requests``; the computer then
-        reuses its replica cache and presorted rows instead of
-        rebuilding them.  The index is used only when it can vouch for
-        itself (enabled, same catalog, live count matching
-        ``len(requests)``); otherwise this call silently falls back to
-        the full rebuild.  Either way the algorithm runs over identical
-        inputs, so the returned state is bit-identical.
-
         Replica lookups are resolved against the catalog once, up
         front; the catalog cannot change during this synchronous call,
         so the cached answers are exactly what per-step queries would
         have returned.
         """
         self._request_index = {request.request_id: request for request in requests}
-        if (
-            index is not None
-            and index.enabled
-            and index.catalog is self._catalog
-            and index.live_count == len(requests)
-        ):
-            index.refresh(requests)
-            self._replicas_of = index.block_replicas
-            self._by_tape = index.rows
-        else:
-            self._build_working_state(requests)
+        self._build_working_state(requests)
         replicas_of = self._replicas_of
         by_tape = self._by_tape
 
@@ -448,7 +269,7 @@ class EnvelopeComputer:
         # length); ``stale`` maps each tape the next round must redo to
         # *how* its inputs moved — "ids" (requests left: refilter the
         # cached list), "grew" (envelope advanced: bisect + refilter),
-        # "full" (envelope receded: rescan the index rows).  ``None``
+        # "full" (envelope receded: rescan the tape's rows).  ``None``
         # means everything is stale (first round).
         newly: Optional[Set[int]] = None
         extension_cache: Dict[int, tuple] = {}
@@ -580,7 +401,7 @@ class EnvelopeComputer:
         *leave* the unscheduled set and an advanced envelope only
         *narrows* the window, so "ids"/"grew" tapes refilter their own
         (shrinking) cached list; only a receded envelope ("full", after
-        step-5 shrinking) or the first round rereads the index rows.
+        step-5 shrinking) or the first round rereads the tape's rows.
         The arithmetic consumes the identical filtered sequence either
         way.  The cross-tape tie-break (scheduled count, jukebox rank)
         is re-evaluated every round from live state, cached or not.
@@ -841,10 +662,6 @@ class EnvelopeScheduler(Scheduler):
             self.name += "-noshrink"
         #: Upper envelope in effect during the current sweep.
         self._active_envelope: Dict[int, float] = {}
-        #: Incremental candidate index bound to the run's pending list
-        #: (None when the pending list or catalog cannot support one).
-        self._index: Optional[EnvelopeIndex] = None
-        self._index_pending: Optional[object] = None
 
     @property
     def policy(self) -> TapeSelectionPolicy:
@@ -852,33 +669,6 @@ class EnvelopeScheduler(Scheduler):
         return self._policy
 
     # ------------------------------------------------------------------
-    def _index_for(self, context: SchedulerContext) -> Optional[EnvelopeIndex]:
-        """The incremental index for this run, created on first use.
-
-        Requires a pending list that broadcasts membership changes
-        (:meth:`~repro.core.pending.PendingList.add_listener`) and a
-        static catalog shared between the pending list and the
-        scheduling context.  Multi-drive pending views and fault-masked
-        catalogs return ``None`` — those runs keep the full
-        rebuild-per-compute path.
-        """
-        pending = context.pending
-        if self._index_pending is pending:
-            return self._index
-        if self._index is not None:
-            self._index.detach()
-        self._index_pending = pending
-        self._index = None
-        if (
-            callable(getattr(pending, "add_listener", None))
-            and callable(getattr(pending, "remove_listener", None))
-            and pending.catalog is context.catalog
-        ):
-            index = EnvelopeIndex(pending)
-            if index.enabled:
-                self._index = index
-        return self._index
-
     def major_reschedule(self, context: SchedulerContext) -> Optional[MajorDecision]:
         requests = context.pending.snapshot()
         lost = context.pending.lost()
@@ -900,7 +690,7 @@ class EnvelopeScheduler(Scheduler):
             head_mb=context.head_mb,
             enable_shrink=self._enable_shrink,
         )
-        state = computer.compute(requests, index=self._index_for(context))
+        state = computer.compute(requests)
         block_mb = context.block_mb
 
         # For each tape: every request satisfiable within the upper

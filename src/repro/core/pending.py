@@ -56,29 +56,6 @@ class PendingList:
                     "add_mask_listener so the pending index can follow its masks"
                 )
             subscribe(self)
-        #: Membership listeners (e.g. the envelope scheduler's
-        #: :class:`~repro.core.envelope.EnvelopeIndex`).  Every mutation
-        #: path — scheduler removals, QoS expiry, starvation promotion,
-        #: fault requeues — funnels through :meth:`append` /
-        #: :meth:`remove_many`, so a listener sees the exact membership
-        #: history no matter which subsystem mutated the list.
-        self._listeners: List[object] = []
-
-    def add_listener(self, listener: object) -> None:
-        """Subscribe ``listener`` to membership changes.
-
-        The listener must expose ``on_pending_append(request)`` and
-        ``on_pending_remove(requests)``; both are invoked synchronously
-        after the list has been updated.
-        """
-        self._listeners.append(listener)
-
-    def remove_listener(self, listener: object) -> None:
-        """Unsubscribe a listener previously added (no-op if absent)."""
-        try:
-            self._listeners.remove(listener)
-        except ValueError:
-            pass
 
     def __len__(self) -> int:
         return len(self._requests)
@@ -115,8 +92,6 @@ class PendingList:
             positions[tape_id][request_id] = replica.position_mb
         if not tapes:
             self._lost.add(request_id)
-        for listener in self._listeners:
-            listener.on_pending_append(request)
 
     def oldest(self) -> Optional[Request]:
         """The request at the head of the list, or ``None`` when empty."""
@@ -164,8 +139,6 @@ class PendingList:
                 del by_tape[tape_id][request_id]
                 del positions[tape_id][request_id]
         self._lost -= removing
-        for listener in self._listeners:
-            listener.on_pending_remove(requests)
 
     def snapshot(self) -> List[Request]:
         """Copy of the pending requests in arrival order."""

@@ -3,6 +3,7 @@ Figure 2 worked example."""
 
 import pytest
 
+from repro.api import run
 from repro.core import (
     EnvelopeComputer,
     EnvelopeScheduler,
@@ -10,7 +11,9 @@ from repro.core import (
     MaxRequests,
     ServiceList,
 )
+from repro.experiments import ExperimentConfig
 from repro.layout import Replica
+from repro.service.metrics import report_digest
 from repro.tape import EXB_8505XL
 
 from .conftest import catalog_from, make_context
@@ -258,3 +261,33 @@ class TestEnvelopeScheduler:
 
     def test_name_includes_policy(self):
         assert EnvelopeScheduler(MaxBandwidth()).name == "envelope-max-bandwidth"
+
+
+@pytest.mark.parametrize("queue", [5, 20, 100])
+@pytest.mark.parametrize(
+    "envelope,dynamic",
+    [
+        ("envelope-max-requests", "dynamic-max-requests"),
+        ("envelope-oldest-max-requests", "dynamic-oldest-max-requests"),
+    ],
+)
+def test_unreplicated_envelope_degenerates_to_dynamic(envelope, dynamic, queue):
+    """Without replicas, the request-count envelope policies make the
+    dynamic scheduler's decisions exactly (same report digest).
+
+    Max-bandwidth is deliberately absent: envelope counts one position
+    per coalesced block and dynamic one per request, so its bandwidth
+    estimates differ whenever two pending requests share a block.
+    """
+    for seed in (3, 42):
+        for tape_count in (5, 10):
+            config = ExperimentConfig(
+                scheduler=envelope,
+                tape_count=tape_count,
+                queue_length=queue,
+                horizon_s=30_000.0,
+                seed=seed,
+            )
+            assert report_digest(run(config).report) == report_digest(
+                run(config.with_(scheduler=dynamic)).report
+            ), (seed, tape_count)

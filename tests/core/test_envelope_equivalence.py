@@ -1,24 +1,26 @@
 """The optimized EnvelopeComputer makes the same decisions, provably.
 
-The production computer (indexed candidate rows, bisect prefix skip,
-cached replica lookups, shared rank tables) must produce an
+The production computer (presorted per-tape candidate rows, bisect
+prefix skip, cached replica lookups, shared rank tables) must produce an
 :class:`EnvelopeState` identical — envelope, assignment, and per-tape
 counts — to the original per-request scan-and-sort implementation, which
 is preserved below as the reference oracle.  Randomized catalogs and
 request mixes sweep mounted/unmounted heads, replication degrees, and
-shrink on/off.
+shrink on/off, on both step-3 paths: the flattened-constants search and
+the tracker-based scan that non-standard timing models take.
 """
 
 import random
+from dataclasses import fields
 from typing import Dict, List, Optional, Tuple
 
 import pytest
 
-from repro.core.cost import ExtensionCostTracker
+from repro.core.cost import ExtensionCostTracker, extension_constants
 from repro.core.envelope import EnvelopeComputer, EnvelopeState
 from repro.core.policies import jukebox_order
 from repro.layout.catalog import BlockCatalog, Replica
-from repro.tape.timing import EXB_8505XL
+from repro.tape.timing import EXB_8505XL, DriveTimingModel
 from repro.workload.requests import Request
 
 
@@ -270,18 +272,39 @@ SCENARIOS = [
 ]
 
 
+class _TrackedTiming(DriveTimingModel):
+    """Same arithmetic as its base; only the exact-type check sees it."""
+
+
+#: A field-for-field copy of EXB_8505XL that is not exactly a
+#: ``DriveTimingModel``, so the computer takes its tracker-based step-3
+#: scan (the path serpentine and noisy timing models use).
+TRACKED_EXB_8505XL = _TrackedTiming(
+    **{field.name: getattr(EXB_8505XL, field.name) for field in fields(EXB_8505XL)}
+)
+
+#: Every scenario on both step-3 paths; the flattened-constants cases
+#: keep the scenario's plain id.
+CASES = [
+    pytest.param(*scenario, timing, id="-".join(map(str, scenario)) + suffix)
+    for scenario in SCENARIOS
+    for timing, suffix in ((EXB_8505XL, ""), (TRACKED_EXB_8505XL, "-tracked"))
+]
+
+
 @pytest.mark.parametrize(
-    "seed,tape_count,n_blocks,n_requests,mounted,head_mb,shrink",
-    SCENARIOS,
+    "seed,tape_count,n_blocks,n_requests,mounted,head_mb,shrink,timing", CASES
 )
 def test_optimized_matches_reference(
-    seed, tape_count, n_blocks, n_requests, mounted, head_mb, shrink
+    seed, tape_count, n_blocks, n_requests, mounted, head_mb, shrink, timing
 ):
+    tracked = extension_constants(timing, 1.0) is None
+    assert tracked == (timing is TRACKED_EXB_8505XL)
     rng = random.Random(seed)
     catalog = random_catalog(rng, tape_count, n_blocks)
     requests = random_requests(rng, n_blocks, n_requests)
     kwargs = dict(
-        timing=EXB_8505XL,
+        timing=timing,
         catalog=catalog,
         tape_count=tape_count,
         mounted_id=mounted,

@@ -1,8 +1,8 @@
 """Hash-level determinism regression: the bit-identical guard.
 
 Every digest below was captured on the pre-optimization tree (before the
-slotted DES kernel, cached timing tables, and indexed envelope/pending
-paths landed).  A run of the same canonical config must reproduce the
+slotted DES kernel, cached timing tables, presorted envelope rows and
+the per-tape pending index landed).  A run of the same canonical config must reproduce the
 same :func:`repro.service.metrics.report_digest` byte for byte — any
 drift in scheduler decisions, event ordering, or float arithmetic shows
 up here first.
