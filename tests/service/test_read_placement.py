@@ -1,17 +1,25 @@
-"""Every physical read lands on a catalog copy of the block it delivers.
+"""Every physical read lands on a catalog copy of the block it delivers,
+and every arrival terminates exactly once.
 
 A drive that exchanges tapes builds the incoming tape's sweep before the
 cartridge arrives, and requests arriving meanwhile may join it.  They
 must be planned against the incoming tape: a request inserted at a copy
 position of the outgoing tape would be "delivered" by reading whatever
-sits at that offset of the incoming one.  The property below traces
-runs across scheduler, drive count, replication, faults, QoS and
+sits at that offset of the incoming one.  The first property below
+traces runs across scheduler, drive count, replication, faults, QoS and
 arrival model, and checks each ``read`` span against the catalog.
+
+The second property checks conservation over the same configs: a
+request whose trace is still open at the horizon must be held somewhere
+the simulator can still serve it from (the pending list, a drive's
+unread sweep, or the read in flight), and nothing held there may have
+terminated already.  A request missing from all of them was dropped.
 """
 
 from hypothesis import example, given, settings, strategies as st
 
 from repro.api import run
+from repro.experiments.runner import build_simulator
 from repro.core import scheduler_names
 from repro.experiments import ExperimentConfig
 from repro.faults import FaultConfig, RetryPolicy
@@ -134,3 +142,48 @@ def misplaced_reads(config):
 def test_every_read_is_at_a_catalog_copy(config):
     bad = misplaced_reads(config)
     assert not bad, f"{len(bad)} reads off the catalog, first {bad[0]}"
+
+
+def held_request_ids(simulator):
+    """Ids of the requests the simulator still holds, one per holding."""
+    held = [request.request_id for request in simulator.pending]
+    for context in simulator.contexts:
+        service = context.service
+        if service is None:
+            continue
+        entries = list(service.remaining())
+        if service.in_flight is not None:
+            entries.append(service.in_flight)
+        held.extend(
+            request.request_id for entry in entries for request in entry.requests
+        )
+    return sorted(held)
+
+
+@settings(max_examples=30, deadline=None)
+@given(configs())
+# Robot picks exhaust their retries on one drive: closed-loop
+# replacements issued during failover joined the doomed sweep and were
+# dropped with it.
+# (The golden-hash pin ``fig4_pick_exhaustion_drive_failures``.)
+@example(
+    ExperimentConfig(
+        scheduler="dynamic-max-bandwidth",
+        queue_length=60,
+        replicas=1,
+        faults=FaultConfig(
+            robot_pick_error_rate=0.3,
+            drive_mtbf_s=8000.0,
+            drive_mttr_s=1200.0,
+            retry=RetryPolicy(max_attempts=2),
+        ),
+        horizon_s=60_000.0,
+        seed=42,
+    )
+)
+def test_every_arrival_terminates_exactly_once(config):
+    tracer = Tracer()
+    simulator = build_simulator(config, obs=tracer)
+    simulator.run(config.horizon_s)
+    open_ids = sorted(trace.request_id for trace in tracer.open_traces())
+    assert held_request_ids(simulator) == open_ids

@@ -191,8 +191,9 @@ GOLDEN = {
     "fig4_oldest_multidrive_faults": "376cbf474259bcf16019d01532e8dfcb0abcf5ad989380cda999882973db38b5",
     # Single-drive paths no other pin covers (pick exhaustion with drive
     # repairs; open arrivals with expiry), pinned before the two service
-    # loops were folded into one.
-    "fig4_pick_exhaustion_drive_failures": "98fcf1f7ea62e6fd8a7f124ea19bbb3bc076ce1919cb5566139513ac097dc29c",
+    # loops were folded into one.  Pick exhaustion was re-pinned once an
+    # abandoned exchange stopped dropping closed-loop replacements.
+    "fig4_pick_exhaustion_drive_failures": "f669d3c9c3e41696e9e3de98cb71b25f5775a0a00f7a18614635ac55ce66c52a",
     "open_single_drive_qos": "f764855339838abda3e0ebd0f8e1b8c5ab294c01c7d54f9e5cc01fca11a8f7f2",
     # A single drive that fails while idle is repaired before it mounts
     # (light open load, so failures fall due during idle waits).
