@@ -2,35 +2,39 @@
 
 The paper's workload section assumes "writes would be directed to
 disk-resident delta files, occasionally written to tape during idle
-time or piggybacked on the read schedule".  This module implements that
-mechanism:
+time or piggybacked on the read schedule".  Both are extra work for the
+one service loop, so write-back is a decision hook, not a loop:
 
 * a :class:`DeltaBuffer` stages dirty logical blocks on disk — one
   pending write item per physical copy (a replicated block is clean
   only when every copy has been rewritten);
-* a :class:`WritebackSimulator` extends the service loop so that
+* a :class:`WritebackSimulator` overrides the loop's ``_next_decision``
+  hook so that
 
-  - each read sweep is **piggybacked** with the staged writes destined
-    for the mounted tape (they join the same forward/reverse sweep, so
-    they ride on positioning the schedule pays for anyway), and
-  - when the jukebox goes **idle** with writes outstanding, the drive
-    performs a pure write sweep on the tape with the most staged writes
-    instead of sitting still.
+  - each read decision is **piggybacked** with the staged writes destined
+    for its tape (they join the same sweep, so they ride on positioning
+    the schedule pays for anyway), and
+  - when the drive would go **idle** with writes outstanding, it runs a
+    write decision on the tape with the most staged writes instead.
 
-Transfer cost of a write equals a read of the same size (helical-scan
-overwrite-in-place simplification; the paper's delta-file design makes
-the same assumption implicitly by piggybacking writes on read sweeps).
+  The loop runs these like any other decision.
+
+Write-back runs on one drive and rejects fault injection.  A traced run
+records writes as ``read`` drive spans.  Transfer cost of a write equals
+a read of the same size (helical-scan overwrite-in-place
+simplification; the paper's delta-file design makes the same assumption
+implicitly by piggybacking writes on read sweeps).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
-from ..core.sweep import ServiceEntry, ServiceList
+from ..core.base import MajorDecision
+from ..core.sweep import ServiceEntry
 from ..layout.catalog import BlockCatalog
 from ..stats import RunningStats
-from ..workload.requests import Request
 from .simulator import JukeboxSimulator
 
 
@@ -115,18 +119,16 @@ class WritebackSimulator(JukeboxSimulator):
         *args,
         write_interarrival_s: Optional[float] = None,
         write_rng=None,
-        piggyback: bool = True,
-        idle_flush: bool = True,
         **kwargs,
     ) -> None:
         super().__init__(*args, **kwargs)
         if len(self.contexts) > 1:
             raise ValueError("write-back runs on a single drive")
+        if self.faults is not None:
+            raise ValueError("write-back runs without fault injection")
         self.delta = DeltaBuffer(catalog=self.catalog)
         self.write_interarrival_s = write_interarrival_s
         self.write_rng = write_rng
-        self.piggyback = piggyback
-        self.idle_flush = idle_flush
         self.piggybacked_writes = 0
         self.idle_flush_sweeps = 0
         if write_interarrival_s is not None and write_rng is None:
@@ -154,82 +156,33 @@ class WritebackSimulator(JukeboxSimulator):
             self._wake_idle_drives()
 
     # ------------------------------------------------------------------
-    def _drive_process(self, drive: int):
-        """The four-step loop, with write piggybacking and idle flushes."""
-        context = self.contexts[drive]
-        block_mb = context.catalog.block_mb
-        while True:
-            while len(context.pending) == 0:
-                if self.idle_flush and len(self.delta) > 0:
-                    yield from self._flush_sweep(block_mb)
-                    if len(context.pending) > 0:
-                        break
-                    continue
-                self._wakeups[drive] = self.env.event()
-                yield self._wakeups[drive]
-            if len(context.pending) == 0:
-                continue
-
-            decision = self.schedulers[drive].major_reschedule(context)
-            if decision is None:  # pragma: no cover - pending non-empty
-                continue
-
-            jukebox = self.bays[drive]
-            switching = decision.tape_id != jukebox.mounted_id
-            start_head = 0.0 if switching else jukebox.head_mb
-            entries: List[ServiceEntry] = list(decision.entries)
-            if self.piggyback:
-                scheduled_blocks = {entry.block_id for entry in entries}
-                for item in self.delta.items_for_tape(decision.tape_id):
-                    if item.block_id in scheduled_blocks:
-                        continue  # a read of the same block passes anyway
-                    entries.append(_WriteEntry(item))
-                    self.piggybacked_writes += 1
-            service = ServiceList(entries, head_mb=start_head)
-            context.service = service
-            if switching:
-                duration = jukebox.switch_to(decision.tape_id)
-                yield self._timed(duration)
-                self.metrics.on_tape_switch(self.env.now)
-
-            yield from self._execute_sweep(service, block_mb)
-            context.service = None
-            self.schedulers[drive].on_sweep_complete(context)
-
-    def _execute_sweep(self, service: ServiceList, block_mb: float):
-        while not service.is_empty:
-            entry = service.pop_next()
-            duration = self.bays[0].access(entry.position_mb, block_mb)
-            yield self._timed(duration)
-            service.finish_in_flight()
-            if isinstance(entry, _WriteEntry):
-                self.delta.complete(entry.write_item, self.env.now)
-                continue
-            for request in entry.requests:
-                self.metrics.on_completion(request, self.env.now)
-                if self.source.is_closed:
-                    replacement = self.source.on_completion(self.env.now)
-                    if replacement is not None:
-                        self.submit(replacement)
-
-    def _flush_sweep(self, block_mb: float):
-        """Idle-time write sweep on the most write-laden tape."""
+    def _next_decision(
+        self, drive: int, decision: Optional[MajorDecision]
+    ) -> Optional[MajorDecision]:
+        """Piggyback staged writes on a read sweep, or flush when idle."""
+        if decision is not None:
+            scheduled = {entry.block_id for entry in decision.entries}
+            writes = [
+                _WriteEntry(item)
+                for item in self.delta.items_for_tape(decision.tape_id)
+                if item.block_id not in scheduled  # a read passes it anyway
+            ]
+            self.piggybacked_writes += len(writes)
+            return replace(decision, entries=decision.entries + writes)
         backlog = self.delta.backlog_by_tape()
         if not backlog:
-            return
+            return None
+        # Idle with writes outstanding: sweep the most write-laden tape.
         tape_id = max(sorted(backlog), key=backlog.get)
-        items = self.delta.items_for_tape(tape_id)
-        jukebox = self.bays[0]
-        context = self.contexts[0]
-        switching = tape_id != jukebox.mounted_id
-        start_head = 0.0 if switching else jukebox.head_mb
-        service = ServiceList([_WriteEntry(item) for item in items], head_mb=start_head)
-        context.service = service
         self.idle_flush_sweeps += 1
-        if switching:
-            duration = jukebox.switch_to(tape_id)
-            yield self._timed(duration)
-            self.metrics.on_tape_switch(self.env.now)
-        yield from self._execute_sweep(service, block_mb)
-        context.service = None
-        self.schedulers[0].on_sweep_complete(context)
+        writes = self.delta.items_for_tape(tape_id)
+        return MajorDecision(tape_id, [_WriteEntry(item) for item in writes])
+
+    def _deliver(
+        self, entry: ServiceEntry, service_s: float, locate_s: float = 0.0
+    ) -> None:
+        """Harden a write's copy, or complete a read's requests."""
+        if isinstance(entry, _WriteEntry):
+            self.delta.complete(entry.write_item, self.env.now)
+        else:
+            super()._deliver(entry, service_s, locate_s)

@@ -6,7 +6,9 @@ import pytest
 
 from repro.core import make_scheduler
 from repro.des import Environment
+from repro.faults import FaultConfig, FaultInjector
 from repro.layout import Layout, PlacementSpec, build_catalog
+from repro.obs import Tracer
 from repro.service import MetricsCollector
 from repro.service.writeback import DeltaBuffer, WritebackSimulator
 from repro.tape import Jukebox
@@ -31,8 +33,8 @@ def replicated_catalog():
 
 
 def make_writeback(catalog, queue_length=None, interarrival=None,
-                   write_interarrival=None, piggyback=True, idle_flush=True,
-                   seed=5):
+                   write_interarrival=None, scheduler="dynamic-max-bandwidth",
+                   seed=5, **kwargs):
     skew = HotColdSkew(40.0)
     rng = random.Random(seed)
     if queue_length is not None:
@@ -43,13 +45,12 @@ def make_writeback(catalog, queue_length=None, interarrival=None,
         env=Environment(),
         jukebox=Jukebox.build(),
         catalog=catalog,
-        scheduler=make_scheduler("dynamic-max-bandwidth"),
+        scheduler=make_scheduler(scheduler),
         source=source,
         metrics=MetricsCollector(block_mb=BLOCK),
         write_interarrival_s=write_interarrival,
         write_rng=random.Random(seed + 1) if write_interarrival else None,
-        piggyback=piggyback,
-        idle_flush=idle_flush,
+        **kwargs,
     )
 
 
@@ -128,22 +129,50 @@ class TestWritebackSimulation:
         # Backlog stays bounded: the buffer does not grow with the run.
         assert len(simulator.delta) < 60
 
-    def test_no_idle_flush_when_disabled(self, catalog):
-        simulator = make_writeback(
-            catalog, interarrival=2_000.0, write_interarrival=150.0,
-            idle_flush=False,
-        )
-        simulator.run(30_000.0)
-        assert simulator.idle_flush_sweeps == 0
+    def test_rejects_fault_injection(self, catalog):
+        with pytest.raises(ValueError, match="without fault injection"):
+            make_writeback(
+                catalog,
+                queue_length=10,
+                faults=FaultInjector(FaultConfig(media_error_rate=0.05), catalog),
+            )
 
-    def test_piggyback_disabled_defers_to_idle(self, catalog):
+    def test_batch_scheduler_runs_its_plan_for_every_decision(self, catalog):
+        """Read and flush sweeps alike are built by the scheduler, so a
+        batch family executes its planned order."""
         simulator = make_writeback(
             catalog, interarrival=2_000.0, write_interarrival=150.0,
-            piggyback=False,
+            scheduler="exact-batch",
+        )
+        scheduler = simulator.schedulers[0]
+        counts = {"reschedules": 0, "built": 0}
+        reschedule = scheduler.major_reschedule
+        build = scheduler.build_service_list
+
+        def counted_reschedule(context):
+            decision = reschedule(context)
+            counts["reschedules"] += decision is not None
+            return decision
+
+        def counted_build(entries, head_mb):
+            counts["built"] += 1
+            return build(entries, head_mb=head_mb)
+
+        scheduler.major_reschedule = counted_reschedule
+        scheduler.build_service_list = counted_build
+        simulator.run(40_000.0)
+        assert simulator.idle_flush_sweeps > 0
+        assert counts["reschedules"] > 0
+        assert counts["built"] == counts["reschedules"] + simulator.idle_flush_sweeps
+
+    def test_traced_closed_loop_keeps_its_population(self, catalog):
+        tracer = Tracer()
+        simulator = make_writeback(
+            catalog, queue_length=30, write_interarrival=200.0, obs=tracer
         )
         simulator.run(30_000.0)
-        assert simulator.piggybacked_writes == 0
-        assert simulator.delta.written_total > 0  # idle flush did the work
+        assert simulator.delta.written_total > 0
+        assert len(tracer.open_traces()) == 30
 
     def test_reads_unharmed_by_moderate_writes(self, catalog):
         """Piggybacking rides existing positioning: read throughput drops
