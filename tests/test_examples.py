@@ -1,4 +1,8 @@
-"""Every example script must run end to end (tiny horizons)."""
+"""Every example script must run end to end (tiny horizons).
+
+Scripts run with deprecation warnings as errors, so an example that
+calls a deprecated shim (e.g. ``run_experiment``) fails here.
+"""
 
 import subprocess
 import sys
@@ -30,7 +34,13 @@ def test_every_example_is_covered():
 @pytest.mark.parametrize("script", sorted(EXAMPLE_ARGS))
 def test_example_runs(script):
     completed = subprocess.run(
-        [sys.executable, str(EXAMPLES_DIR / script), *EXAMPLE_ARGS[script]],
+        [
+            sys.executable,
+            "-W",
+            "error::DeprecationWarning",
+            str(EXAMPLES_DIR / script),
+            *EXAMPLE_ARGS[script],
+        ],
         capture_output=True,
         text=True,
         timeout=420,
@@ -41,7 +51,13 @@ def test_example_runs(script):
 
 def test_quickstart_reports_improvement():
     completed = subprocess.run(
-        [sys.executable, str(EXAMPLES_DIR / "quickstart.py"), "30000"],
+        [
+            sys.executable,
+            "-W",
+            "error::DeprecationWarning",
+            str(EXAMPLES_DIR / "quickstart.py"),
+            "30000",
+        ],
         capture_output=True,
         text=True,
         timeout=420,
