@@ -1,4 +1,4 @@
-"""Kernel/scheduler performance benchmark: the BENCH trajectory for speed.
+"""Kernel and envelope-compute microbenchmark: the BENCH trajectory for speed.
 
 Measures, and records into ``BENCH_kernel.json`` at the repository root:
 
@@ -6,16 +6,12 @@ Measures, and records into ``BENCH_kernel.json`` at the repository root:
    schedule-and-drain cycle — bare timeouts (no callbacks) and
    generator processes sleeping repeatedly (the simulator's actual
    idiom; uses the bare-float fast path when the kernel supports it).
-2. **Scheduler families end-to-end.**  One closed-queueing run per
-   family (FIFO / static / dynamic / envelope) on the paper's jukebox;
-   wall-clock seconds, simulated-seconds per wall-second, and completed
-   requests per wall-second.
-3. **Figure-4 end-to-end workload.**  The four-family subset of the
-   Figure-4 sweep (three queue lengths each) as one wall-clock number —
-   the headline end-to-end metric.
-4. **Envelope-compute scaling.**  Best-of-three wall-clock of one
+2. **Envelope-compute scaling.**  Best-of-three wall-clock of one
    envelope major reschedule at n = 35/140/560 pending requests
    (t = 10 tapes, NR-9), and requests scheduled per second.
+
+End-to-end run times are not measured here: ``perfbench/run.py`` times
+whole simulations calibrated, best-of-N and with spread.
 
 The file keeps two measurement sets: ``baseline`` (recorded once, on
 the pre-optimization tree, via ``--record-baseline``) and ``current``
@@ -39,26 +35,18 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_JSON = REPO_ROOT / "BENCH_kernel.json"
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.api import run  # noqa: E402
 from repro.core import EnvelopeComputer  # noqa: E402
 from repro.des import Environment  # noqa: E402
-from repro.experiments import ExperimentConfig  # noqa: E402
 from repro.layout import Layout, PlacementSpec, build_catalog  # noqa: E402
 from repro.tape import EXB_8505XL  # noqa: E402
 from repro.workload import HotColdSkew, RequestFactory  # noqa: E402
 
-SCHEMA = "bench-kernel/2"
+SCHEMA = "bench-kernel/3"
 
-#: Payload schemas whose baseline section is still comparable.
-COMPATIBLE_SCHEMAS = (SCHEMA, "bench-kernel/1")
-
-#: The four-family subset of Figure 4 used for the end-to-end number.
-FIG4_FAMILIES = (
-    "fifo",
-    "static-max-bandwidth",
-    "dynamic-max-bandwidth",
-    "envelope-max-bandwidth",
-)
+#: Payload schemas whose baseline section is still comparable.  Older
+#: schemas also carried single-shot ``schedulers`` and
+#: ``fig4_end_to_end`` sections; they are dropped on rewrite.
+COMPATIBLE_SCHEMAS = (SCHEMA, "bench-kernel/2", "bench-kernel/1")
 
 
 # ----------------------------------------------------------------------
@@ -133,75 +121,7 @@ def bench_process_timeouts(processes: int, events: int, repeats: int = 3) -> flo
 
 
 # ----------------------------------------------------------------------
-# 2/3. End-to-end scheduler runs
-# ----------------------------------------------------------------------
-def _fig4_config(scheduler: str, queue: int, horizon_s: float) -> ExperimentConfig:
-    return ExperimentConfig(
-        scheduler=scheduler, queue_length=queue, horizon_s=horizon_s
-    )
-
-
-def _fig8_config(scheduler: str, queue: int, horizon_s: float) -> ExperimentConfig:
-    return ExperimentConfig(
-        scheduler=scheduler,
-        layout=Layout.VERTICAL,
-        replicas=9,
-        start_position=1.0,
-        queue_length=queue,
-        horizon_s=horizon_s,
-    )
-
-
-def bench_schedulers(horizon_s: float, queue: int) -> dict:
-    """Per-family wall-clock of one closed run (replicated for envelope)."""
-    out = {}
-    for scheduler in FIG4_FAMILIES:
-        if scheduler.startswith("envelope"):
-            config = _fig8_config(scheduler, queue, horizon_s)
-        else:
-            config = _fig4_config(scheduler, queue, horizon_s)
-        start = time.perf_counter()
-        result = run(config)
-        wall_s = time.perf_counter() - start
-        out[scheduler] = {
-            "wall_s": round(wall_s, 4),
-            "sim_s_per_wall_s": round(horizon_s / wall_s, 1),
-            "completions_per_wall_s": round(result.report.completed / wall_s, 1),
-            "sweeps_per_wall_s": round(result.report.tape_switches / wall_s, 2),
-        }
-    return out
-
-
-def bench_fig4_end_to_end(horizon_s: float, queues, repeats: int = 3) -> dict:
-    """Wall-clock of the four-family Figure-4 grid run back to back.
-
-    Best of ``repeats`` passes: the first pass pays one-time costs
-    (imports, catalog construction) that are not what this benchmark
-    measures, and min-of-N suppresses scheduler noise on shared machines.
-    """
-    best_s = None
-    completed = 0
-    for _ in range(repeats):
-        start = time.perf_counter()
-        completed = 0
-        for scheduler in FIG4_FAMILIES:
-            for queue in queues:
-                config = _fig4_config(scheduler, queue, horizon_s)
-                completed += run(config).report.completed
-        wall_s = time.perf_counter() - start
-        if best_s is None or wall_s < best_s:
-            best_s = wall_s
-    return {
-        "wall_s": round(best_s, 4),
-        "horizon_s": horizon_s,
-        "queues": list(queues),
-        "completed": completed,
-        "points": len(FIG4_FAMILIES) * len(queues),
-    }
-
-
-# ----------------------------------------------------------------------
-# 4. Envelope-compute scaling
+# 2. Envelope-compute scaling
 # ----------------------------------------------------------------------
 def bench_envelope_scaling(sizes, repeats: int = 3) -> dict:
     tapes = 10
@@ -250,8 +170,6 @@ def measure(quick: bool) -> dict:
                 bench_process_timeouts(50, 1000, 2), 1
             ),
         }
-        schedulers = bench_schedulers(horizon_s=40_000.0, queue=60)
-        fig4 = bench_fig4_end_to_end(horizon_s=30_000.0, queues=(20, 60))
         envelope = bench_envelope_scaling((35, 140))
     else:
         kernel = {
@@ -260,14 +178,10 @@ def measure(quick: bool) -> dict:
                 bench_process_timeouts(100, 2000), 1
             ),
         }
-        schedulers = bench_schedulers(horizon_s=100_000.0, queue=100)
-        fig4 = bench_fig4_end_to_end(horizon_s=60_000.0, queues=(20, 60, 100))
         envelope = bench_envelope_scaling((35, 140, 560))
     return {
         "quick": quick,
         "kernel": kernel,
-        "schedulers": schedulers,
-        "fig4_end_to_end": fig4,
         "envelope_compute": envelope,
     }
 
@@ -289,11 +203,6 @@ def _speedup(baseline: dict, current: dict) -> dict:
         2,
     )
     if baseline.get("quick") == current.get("quick"):
-        out["fig4_end_to_end"] = round(
-            baseline["fig4_end_to_end"]["wall_s"]
-            / current["fig4_end_to_end"]["wall_s"],
-            2,
-        )
         shared = set(baseline["envelope_compute"]) & set(current["envelope_compute"])
         out["envelope_compute"] = {
             size: round(
@@ -366,6 +275,10 @@ def main(argv=None) -> int:
         previous = json.loads(output.read_text())
         if previous.get("schema") in COMPATIBLE_SCHEMAS:
             payload = previous
+            if "baseline" in payload:
+                payload["baseline"] = {
+                    key: payload["baseline"][key] for key in fresh
+                }
     if args.record_baseline or "baseline" not in payload:
         payload["baseline"] = fresh
     payload["current"] = fresh

@@ -10,8 +10,9 @@ with what the simulated hardware will actually do.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..tape.timing import DriveTimingModel
 
@@ -33,6 +34,94 @@ class SweepCost:
         return self.locate_s + self.read_s
 
 
+def _sweep(
+    timing: DriveTimingModel,
+    head_mb: float,
+    positions: Sequence[float],
+    block_mb: float,
+    startup_pending: bool,
+) -> Tuple[float, float, float]:
+    """The sweep kernel: ``(locate_s, read_s, end_head_mb)``.
+
+    Blocks at or beyond the head are read in ascending order, then the
+    rest in descending order.  For a plain :class:`DriveTimingModel`
+    the per-block loop runs call-free on :func:`extension_constants`,
+    evaluating the exact expressions ``locate_forward``,
+    ``locate_reverse`` and ``read`` would have (``distance <= short
+    threshold`` is the segment rule of their ``bisect_left``), with the
+    sums taken in the same order, so every float is bit-identical to
+    the method-call loop that any other model (e.g. a serpentine
+    subclass) runs.
+    """
+    ordered = sorted(positions)
+    split = bisect_left(ordered, head_mb)
+    forward = ordered[split:] if split else ordered
+    reverse = ordered[split - 1 :: -1] if split else ()
+    constants = extension_constants(timing, block_mb)
+    locate_s = 0.0
+    read_s = 0.0
+    head = head_mb
+    if constants is None:
+        locate_forward = timing.locate_forward
+        locate_reverse = timing.locate_reverse
+        read_plain_s = timing.read(block_mb, startup=False)
+        read_startup_s = timing.read(block_mb, startup=True)
+        for position in forward:
+            distance = position - head
+            if distance > 0:
+                locate_s += locate_forward(distance)
+                startup_pending = True
+            read_s += read_startup_s if startup_pending else read_plain_s
+            startup_pending = False
+            head = position + block_mb
+        for position in reverse:
+            distance = head - position
+            if distance > 0:
+                locate_s += locate_reverse(distance, lands_on_bot=(position == 0))
+                startup_pending = False
+            read_s += read_startup_s if startup_pending else read_plain_s
+            startup_pending = False
+            head = position + block_mb
+        return locate_s, read_s, head
+    threshold = constants.short_threshold_mb
+    forward_short_startup = constants.forward_short_startup
+    forward_short_rate = constants.forward_short_rate
+    forward_long_startup = constants.forward_long_startup
+    forward_long_rate = constants.forward_long_rate
+    read_plain_s = constants.read_plain_s
+    read_startup_s = constants.read_startup_s
+    for position in forward:
+        distance = position - head
+        if distance > 0:
+            locate_s += (
+                forward_short_startup + forward_short_rate * distance
+                if distance <= threshold
+                else forward_long_startup + forward_long_rate * distance
+            )
+            startup_pending = True
+        read_s += read_startup_s if startup_pending else read_plain_s
+        startup_pending = False
+        head = position + block_mb
+    for position in reverse:
+        distance = head - position
+        if distance > 0:
+            seconds = (
+                constants.reverse_short_startup
+                + constants.reverse_short_rate * distance
+                if distance <= threshold
+                else constants.reverse_long_startup
+                + constants.reverse_long_rate * distance
+            )
+            if position == 0:
+                seconds += constants.bot_overhead_s
+            locate_s += seconds
+            startup_pending = False
+        read_s += read_startup_s if startup_pending else read_plain_s
+        startup_pending = False
+        head = position + block_mb
+    return locate_s, read_s, head
+
+
 def sweep_cost(
     timing: DriveTimingModel,
     head_mb: float,
@@ -42,49 +131,18 @@ def sweep_cost(
 ) -> SweepCost:
     """Cost of a forward-then-reverse sweep from ``head_mb``.
 
-    ``positions`` are block start positions (any order, duplicates
-    allowed once coalesced by the caller).  ``startup_pending`` mirrors
-    the drive's state: whether a read begun without any repositioning
-    would still pay the forward startup.  Returns the time split and the
-    final head position (end of the last block read).
+    ``positions`` are block start positions in any order.  Each entry is
+    charged as one block read, so a position listed twice is read twice:
+    coalesce duplicates first to cost the sweep the drive will run.
+    ``startup_pending`` mirrors the drive's state: whether a read begun
+    without any repositioning would still pay the forward startup.
+    Returns the time split and the final head position (end of the last
+    block read).
     """
-    forward: List[float] = []
-    reverse: List[float] = []
-    for position in positions:
-        if position >= head_mb:
-            forward.append(position)
-        else:
-            reverse.append(position)
-    forward.sort()
-    reverse.sort(reverse=True)
-    # The block size is fixed for the whole sweep, so only two read
-    # costs ever occur; computing them once keeps the loop allocation-
-    # and call-free without changing any float (same expression as
-    # ``timing.read``).
-    locate_forward = timing.locate_forward
-    locate_reverse = timing.locate_reverse
-    read_plain_s = timing.read(block_mb, startup=False)
-    read_startup_s = timing.read(block_mb, startup=True)
-    locate_s = 0.0
-    read_s = 0.0
-    head = head_mb
-    for position in forward:
-        distance = position - head
-        if distance > 0:
-            locate_s += locate_forward(distance)
-            startup_pending = True
-        read_s += read_startup_s if startup_pending else read_plain_s
-        startup_pending = False
-        head = position + block_mb
-    for position in reverse:
-        distance = head - position
-        if distance > 0:
-            locate_s += locate_reverse(distance, lands_on_bot=(position == 0))
-            startup_pending = False
-        read_s += read_startup_s if startup_pending else read_plain_s
-        startup_pending = False
-        head = position + block_mb
-    return SweepCost(locate_s=locate_s, read_s=read_s, end_head_mb=head)
+    locate_s, read_s, end_head_mb = _sweep(
+        timing, head_mb, positions, block_mb, startup_pending
+    )
+    return SweepCost(locate_s=locate_s, read_s=read_s, end_head_mb=end_head_mb)
 
 
 def schedule_time(
@@ -94,18 +152,25 @@ def schedule_time(
     mounted: bool,
     head_mb: float,
     rewind_from_mb: float = 0.0,
+    switch_s: Optional[float] = None,
 ) -> float:
     """Total seconds to service ``positions`` on a candidate tape.
 
     For the currently mounted tape (``mounted=True``) this is just the
     sweep from ``head_mb``.  For another tape it adds the full switch
     overhead — rewinding the mounted tape from ``rewind_from_mb``, eject,
-    robot swap, load — and sweeps from position 0.
+    robot swap, load — and sweeps from position 0.  ``switch_s``, when
+    given, is that overhead already computed
+    (``timing.switch_with_rewind(rewind_from_mb)``), for callers that
+    rank many tapes against one mounted head.
     """
     if mounted:
-        return sweep_cost(timing, head_mb, positions, block_mb).total_s
-    overhead = timing.switch_with_rewind(rewind_from_mb)
-    return overhead + sweep_cost(timing, 0.0, positions, block_mb).total_s
+        locate_s, read_s, _ = _sweep(timing, head_mb, positions, block_mb, True)
+        return locate_s + read_s
+    if switch_s is None:
+        switch_s = timing.switch_with_rewind(rewind_from_mb)
+    locate_s, read_s, _ = _sweep(timing, 0.0, positions, block_mb, True)
+    return switch_s + (locate_s + read_s)
 
 
 def effective_bandwidth(
@@ -115,12 +180,16 @@ def effective_bandwidth(
     mounted: bool,
     head_mb: float,
     rewind_from_mb: float = 0.0,
+    switch_s: Optional[float] = None,
 ) -> float:
-    """Effective bandwidth (bytes/s) of servicing ``positions`` on a tape."""
+    """Effective bandwidth (bytes/s) of servicing ``positions`` on a tape.
+
+    Arguments are those of :func:`schedule_time`.
+    """
     if not positions:
         return 0.0
     seconds = schedule_time(
-        timing, positions, block_mb, mounted, head_mb, rewind_from_mb
+        timing, positions, block_mb, mounted, head_mb, rewind_from_mb, switch_s
     )
     if seconds <= 0:
         return float("inf")
@@ -129,15 +198,17 @@ def effective_bandwidth(
 
 @dataclass(frozen=True)
 class ExtensionConstants:
-    """Flattened timing constants for the envelope extension inner loop.
+    """Flattened timing constants for call-free cost loops.
 
     The envelope scheduler's step-3 search evaluates an incremental
-    bandwidth for *every* candidate prefix length on every tape; going
-    through :class:`ExtensionCostTracker` costs three method calls plus
-    memo-dict lookups per length.  For the plain piecewise-linear
+    bandwidth for *every* candidate prefix length on every tape, and
+    every max-bandwidth decision costs a full sweep on every candidate
+    tape; going through the model's methods (or
+    :class:`ExtensionCostTracker`) costs a method call plus memo-dict
+    lookups per block.  For the plain piecewise-linear
     :class:`~repro.tape.timing.DriveTimingModel` those calls reduce to
     straight-line arithmetic over a handful of constants.  This bundle
-    hoists them once so the search loop can run call-free.
+    hoists them once so both loops can run call-free.
 
     Every float here is produced by the timing model's own methods, and
     the consumer applies them with the exact expressions the tracker's
@@ -146,7 +217,7 @@ class ExtensionConstants:
     exact :class:`DriveTimingModel` instances qualify (a subclass may
     override the locate arithmetic): callers must check
     :func:`extension_constants` for ``None`` and fall back to the
-    tracker.
+    method calls.
     """
 
     short_threshold_mb: float
@@ -164,7 +235,13 @@ class ExtensionConstants:
     switch_s: float
 
 
-_EXTENSION_CONSTANTS: Dict[Tuple[DriveTimingModel, float], ExtensionConstants] = {}
+#: ``(id(model), block_mb) -> (model, constants)``.  Keying by identity
+#: keeps the lookup off the model's field-by-field hash (it runs once per
+#: swept tape); each entry holds its model, so the id cannot be reused
+#: while the entry lives.
+_EXTENSION_CONSTANTS: Dict[
+    Tuple[int, float], Tuple[DriveTimingModel, ExtensionConstants]
+] = {}
 
 
 def extension_constants(
@@ -174,33 +251,35 @@ def extension_constants(
 
     Eligibility is an exact-type check: subclasses of
     :class:`DriveTimingModel` (e.g. serpentine models) may override the
-    locate arithmetic, so they keep the tracker-based slow path.
-    Results are cached per ``(timing, block_mb)`` (the model is a
-    frozen, hashable dataclass; equal models share equal constants).
+    locate arithmetic, so they keep the method-call slow path.
+    Results are cached per ``(model instance, block_mb)``.
     """
     if type(timing) is not DriveTimingModel:
         return None
-    key = (timing, block_mb)
-    cached = _EXTENSION_CONSTANTS.get(key)
-    if cached is None:
+    key = (id(timing), block_mb)
+    entry = _EXTENSION_CONSTANTS.get(key)
+    if entry is None:
         if len(_EXTENSION_CONSTANTS) >= 256:
             _EXTENSION_CONSTANTS.clear()
-        cached = _EXTENSION_CONSTANTS[key] = ExtensionConstants(
-            short_threshold_mb=timing.short_threshold_mb,
-            forward_short_startup=timing.forward_short.startup,
-            forward_short_rate=timing.forward_short.rate,
-            forward_long_startup=timing.forward_long.startup,
-            forward_long_rate=timing.forward_long.rate,
-            reverse_short_startup=timing.reverse_short.startup,
-            reverse_short_rate=timing.reverse_short.rate,
-            reverse_long_startup=timing.reverse_long.startup,
-            reverse_long_rate=timing.reverse_long.rate,
-            bot_overhead_s=timing.bot_overhead_s,
-            read_plain_s=timing.read(block_mb, startup=False),
-            read_startup_s=timing.read(block_mb, startup=True),
-            switch_s=timing.switch(),
+        entry = _EXTENSION_CONSTANTS[key] = (
+            timing,
+            ExtensionConstants(
+                short_threshold_mb=timing.short_threshold_mb,
+                forward_short_startup=timing.forward_short.startup,
+                forward_short_rate=timing.forward_short.rate,
+                forward_long_startup=timing.forward_long.startup,
+                forward_long_rate=timing.forward_long.rate,
+                reverse_short_startup=timing.reverse_short.startup,
+                reverse_short_rate=timing.reverse_short.rate,
+                reverse_long_startup=timing.reverse_long.startup,
+                reverse_long_rate=timing.reverse_long.rate,
+                bot_overhead_s=timing.bot_overhead_s,
+                read_plain_s=timing.read(block_mb, startup=False),
+                read_startup_s=timing.read(block_mb, startup=True),
+                switch_s=timing.switch(),
+            ),
         )
-    return cached
+    return entry[1]
 
 
 class ExtensionCostTracker:

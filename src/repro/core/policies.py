@@ -110,16 +110,26 @@ class MaxBandwidth(TapeSelectionPolicy):
     name = "max-bandwidth"
 
     def select(self, context: SelectionContext) -> Optional[int]:
+        timing = context.timing
+        block_mb = context.block_mb
+        mounted_id = context.mounted_id
+        head_mb = context.head_mb
+        positions_for = context.positions_for
+        # Switching to any unmounted tape rewinds the mounted one from
+        # the same head, so the overhead is one figure per decision.
+        switch_s = timing.switch_with_rewind(
+            head_mb if mounted_id is not None else 0.0
+        )
         best: Optional[int] = None
         best_bandwidth = -1.0
         for tape_id in context.tapes_with_requests():
             bandwidth = effective_bandwidth(
-                context.timing,
-                list(context.positions_for(tape_id)),
-                context.block_mb,
-                mounted=(tape_id == context.mounted_id),
-                head_mb=context.head_mb,
-                rewind_from_mb=context.head_mb if context.mounted_id is not None else 0.0,
+                timing,
+                positions_for(tape_id),
+                block_mb,
+                mounted=(tape_id == mounted_id),
+                head_mb=head_mb,
+                switch_s=switch_s,
             )
             if bandwidth > best_bandwidth:
                 best, best_bandwidth = tape_id, bandwidth

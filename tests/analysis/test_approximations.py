@@ -13,6 +13,10 @@ from repro.analysis.approximations import (
 from repro.core import sweep_cost
 from repro.tape import EXB_8505XL
 
+#: The end-to-end runs here go through ``repro.api.run``; a deprecated
+#: shim sneaking back in fails them.
+pytestmark = pytest.mark.filterwarnings("error::DeprecationWarning")
+
 CAPACITY = 7 * 1024.0
 BLOCK = 16.0
 
@@ -70,10 +74,11 @@ class TestClosedThroughput:
     def test_matches_simulation_roughly(self):
         """Analytic prediction within ~20% of a real simulation under
         near-uniform access (RH = PH = 10)."""
-        from repro.experiments import ExperimentConfig, run_experiment
+        from repro.api import run
+        from repro.experiments import ExperimentConfig
 
         predicted = estimate_closed_throughput(EXB_8505XL, 60, 10, CAPACITY, BLOCK)
-        simulated = run_experiment(
+        simulated = run(
             ExperimentConfig(
                 scheduler="static-round-robin",
                 percent_requests_hot=10.0,

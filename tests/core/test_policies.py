@@ -13,8 +13,10 @@ from repro.core import (
     RoundRobin,
     SelectionContext,
     StaticScheduler,
+    effective_bandwidth,
     jukebox_order,
 )
+from repro.core.cost import MB
 from repro.tape import EXB_8505XL
 from repro.workload import RequestFactory
 
@@ -118,6 +120,45 @@ class TestMaxBandwidth:
 
     def test_no_candidates(self):
         assert MaxBandwidth().select(make_selection({})) is None
+
+    def test_duplicate_requests_are_charged_as_extra_reads(self):
+        """Pins today's estimate: one position per request, not per block.
+
+        Tape 0 holds one block that two requests want; tape 1 holds two
+        distinct blocks.  The pending list reports tape 0's block twice,
+        so the estimate charges two blocks (the second a plain read with
+        no locate) although the drive reads it once.  Charged that way
+        tape 0 wins; coalesced, tape 1 would.  Changing this moves
+        scheduling decisions, so it is an open question, not a fix.
+        """
+        catalog = catalog_from([[(0, 100.0)], [(1, 100.0)], [(1, 200.0)]])
+        pending = PendingList(catalog)
+        factory = RequestFactory()
+        for block_id in (0, 0, 1, 2):
+            pending.append(factory.create(block_id=block_id, arrival_s=0.0))
+        assert pending.positions_on(0) == [100.0, 100.0]
+        selection = SelectionContext(
+            timing=EXB_8505XL,
+            block_mb=16.0,
+            tape_count=2,
+            mounted_id=None,
+            head_mb=0.0,
+            candidates=pending.candidate_tapes(),
+            positions_for=pending.positions_on,
+            resolve_oldest=pending.oldest,
+        )
+        assert MaxBandwidth().select(selection) == 0
+        charged = effective_bandwidth(EXB_8505XL, [100.0, 100.0], 16.0, False, 0.0)
+        coalesced = effective_bandwidth(EXB_8505XL, [100.0], 16.0, False, 0.0)
+        distinct = effective_bandwidth(EXB_8505XL, [100.0, 200.0], 16.0, False, 0.0)
+        assert charged == 2 * 16.0 * MB / (
+            EXB_8505XL.switch_with_rewind(0.0)
+            + (
+                EXB_8505XL.locate_forward(100.0)
+                + (EXB_8505XL.read(16.0) + EXB_8505XL.read(16.0, startup=False))
+            )
+        )
+        assert coalesced < distinct < charged
 
 
 class TestOldestRequestPolicies:

@@ -4,6 +4,10 @@ import pytest
 
 from repro.tape import DLT_STYLE, Jukebox, SerpentineTimingModel, Tape, TapeDrive
 
+#: The end-to-end runs here go through ``repro.api.run``; a deprecated
+#: shim sneaking back in fails them.
+pytestmark = pytest.mark.filterwarnings("error::DeprecationWarning")
+
 
 class TestGeometry:
     def test_capacity(self):
@@ -117,9 +121,10 @@ class TestDriveIntegration:
 
 class TestEndToEnd:
     def test_experiment_runs_with_serpentine(self):
-        from repro.experiments import ExperimentConfig, run_experiment
+        from repro.api import run
+        from repro.experiments import ExperimentConfig
 
-        result = run_experiment(
+        result = run(
             ExperimentConfig(
                 drive_technology="serpentine",
                 queue_length=20,
@@ -130,12 +135,13 @@ class TestEndToEnd:
 
     def test_serpentine_beats_helical_on_random_reads(self):
         """Cheap positioning and free rewinds should dominate."""
-        from repro.experiments import ExperimentConfig, run_experiment
+        from repro.api import run
+        from repro.experiments import ExperimentConfig
 
-        helical = run_experiment(
+        helical = run(
             ExperimentConfig(queue_length=60, horizon_s=40_000.0)
         )
-        serpentine = run_experiment(
+        serpentine = run(
             ExperimentConfig(
                 drive_technology="serpentine", queue_length=60, horizon_s=40_000.0
             )
