@@ -17,10 +17,10 @@ import random
 
 import pytest
 
+from repro.api import run
 from repro.core import EnvelopeScheduler, MaxBandwidth
 from repro.des import Environment
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import run_experiment
 from repro.layout import Layout, PlacementSpec, build_catalog
 from repro.report import format_table
 from repro.service import JukeboxSimulator, MetricsCollector
@@ -90,7 +90,7 @@ def test_ablation_dynamic_insertion(benchmark, capsys):
     def run_pair():
         results = {}
         for scheduler in ("static-max-bandwidth", "dynamic-max-bandwidth"):
-            results[scheduler] = run_experiment(
+            results[scheduler] = run(
                 ExperimentConfig(
                     scheduler=scheduler, queue_length=140, horizon_s=HORIZON_S
                 )
@@ -165,7 +165,7 @@ def test_ablation_serpentine_placement_insensitivity(benchmark, capsys):
                     queue_length=60,
                     horizon_s=HORIZON_S,
                 )
-                grid[(technology, start_position)] = run_experiment(
+                grid[(technology, start_position)] = run(
                     config
                 ).throughput_kb_s
         return grid

@@ -3,7 +3,7 @@
 Runs a figure-sized campaign (the Figure 6 replica grid: 4 replication
 degrees x 5 queue lengths = 20 configs) three ways —
 
-1. serial, no cache (the historical ``run_experiment`` loop),
+1. serial, no cache (one in-process ``repro.api.run`` per config),
 2. parallel with the supervised pool, writing the content-addressed
    cache,
 3. again with a warm cache (every point must be a hit),

@@ -8,9 +8,9 @@ with no replicas it degenerates to dynamic max-bandwidth.
 
 import pytest
 
+from repro.api import run
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.figures import FIGURE8_ALGORITHMS, figure8
-from repro.experiments.runner import run_experiment
 
 from _util import HORIZON_S, QUEUES, mean_delay, mean_throughput, show, regenerate
 
@@ -62,7 +62,7 @@ def test_fig08_envelope_degenerates_without_replicas(benchmark, capsys):
                 queue_length=60,
                 horizon_s=HORIZON_S,
             )
-            results[scheduler] = run_experiment(config).throughput_kb_s
+            results[scheduler] = run(config).throughput_kb_s
         return results
 
     results = benchmark.pedantic(run_pair, rounds=1, iterations=1)

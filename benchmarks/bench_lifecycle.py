@@ -11,8 +11,8 @@ capacity.
 
 import pytest
 
+from repro.api import run
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import run_experiment
 from repro.layout.lifecycle import LifecyclePlanner, LifecycleStage
 from repro.report import format_table
 
@@ -34,7 +34,7 @@ def run_plan(plan, data_blocks):
         horizon_s=HORIZON_S,
         data_blocks=data_blocks,
     )
-    return run_experiment(config).throughput_kb_s
+    return run(config).throughput_kb_s
 
 
 def run_naive(data_blocks):
@@ -46,7 +46,7 @@ def run_naive(data_blocks):
         horizon_s=HORIZON_S,
         data_blocks=data_blocks,
     )
-    return run_experiment(config).throughput_kb_s
+    return run(config).throughput_kb_s
 
 
 @pytest.mark.benchmark(group="lifecycle")

@@ -12,8 +12,8 @@ completes only what arrives.
 
 import pytest
 
+from repro.api import run
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import run_experiment
 from repro.layout import Layout
 
 from _util import HORIZON_S
@@ -39,8 +39,8 @@ def test_open_high_load_only_delay_improves(benchmark, capsys):
     interarrival_s = 70.0  # close to the better scheme's service rate
 
     def run_pair():
-        worse = run_experiment(open_config("dynamic-max-bandwidth", 0, interarrival_s))
-        better = run_experiment(
+        worse = run(open_config("dynamic-max-bandwidth", 0, interarrival_s))
+        better = run(
             open_config("envelope-max-bandwidth", 9, interarrival_s)
         )
         return worse.report, better.report
@@ -76,7 +76,7 @@ def test_open_underloaded_throughput_pinned_by_arrivals(benchmark, capsys):
 
     def run_three():
         return [
-            run_experiment(open_config(scheduler, replicas, interarrival_s)).report
+            run(open_config(scheduler, replicas, interarrival_s)).report
             for scheduler, replicas in (
                 ("static-max-bandwidth", 0),
                 ("dynamic-max-bandwidth", 0),

@@ -29,8 +29,8 @@ except ImportError:  # running as a plain script, not under pytest
     sys.path.insert(0, str(Path(__file__).resolve().parent))
     from _util import HORIZON_S
 
+from repro.api import run
 from repro.experiments import ExperimentConfig
-from repro.experiments.runner import run_experiment
 from repro.qos import QoSConfig
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_overload.json"
@@ -88,22 +88,22 @@ def _summary(report) -> dict:
 
 def run_overload_benchmark() -> dict:
     """Run all three measurements and return the JSON payload."""
-    capacity_report = run_experiment(BASE).report
+    capacity_report = run(BASE).report
     capacity_req_s = capacity_report.completed / OVERLOAD_HORIZON_S
     interarrival_s = 1.0 / (OVERLOAD_FACTOR * capacity_req_s)
 
     open_base = BASE.with_(
         queue_length=None, mean_interarrival_s=interarrival_s
     )
-    unprotected = run_experiment(open_base).report
-    protected = run_experiment(
+    unprotected = run(open_base).report
+    protected = run(
         open_base.with_(
             qos=QoSConfig(admission="bounded-queue", max_pending=MAX_PENDING)
         )
     ).report
 
-    unguarded = run_experiment(GUARD_BASE).report
-    guarded = run_experiment(
+    unguarded = run(GUARD_BASE).report
+    guarded = run(
         GUARD_BASE.with_(qos=QoSConfig(starvation_age_s=STARVATION_AGE_S))
     ).report
 

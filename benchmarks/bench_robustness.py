@@ -25,10 +25,10 @@ import random
 import pytest
 
 from repro.analysis import cost_performance_curve
+from repro.api import run
 from repro.core import make_scheduler
 from repro.des import Environment
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import run_experiment
 from repro.faults import FaultConfig, RetryPolicy
 from repro.layout import Layout, PlacementSpec, build_catalog
 from repro.report import format_table
@@ -110,7 +110,7 @@ def test_faster_drive_preserves_conclusions(benchmark, capsys):
                     drive_speedup=speedup,
                     **overrides,
                 )
-                grid[(speedup, label)] = run_experiment(config).throughput_kb_s
+                grid[(speedup, label)] = run(config).throughput_kb_s
         return grid
 
     grid = benchmark.pedantic(run_grid, rounds=1, iterations=1)
@@ -202,7 +202,7 @@ def _run_faulted(
             retry=RetryPolicy(max_attempts=3, base_backoff_s=2.0),
         ),
     )
-    return run_experiment(config).report
+    return run(config).report
 
 
 @pytest.mark.benchmark(group="robustness")

@@ -28,14 +28,12 @@ Quickstart (one run surface for every config kind)::
     print(result.report)
 
 ``run`` also accepts :class:`repro.service.farm.FarmConfig` and
-:class:`repro.federation.FederationConfig`; the legacy
-``run_experiment``/``run_farm`` entry points still work but emit a
-``DeprecationWarning``.
+:class:`repro.federation.FederationConfig`.
 """
 
 from .api import run
 from .experiments.config import ExperimentConfig
-from .experiments.runner import ExperimentResult, build_simulator, run_experiment
+from .experiments.runner import ExperimentResult, build_simulator
 from .federation import FederationConfig, LibraryConfig
 from .layout.placement import Layout, PlacementSpec
 from .service.farm import FarmConfig
@@ -52,6 +50,5 @@ __all__ = [
     "PlacementSpec",
     "build_simulator",
     "run",
-    "run_experiment",
     "__version__",
 ]

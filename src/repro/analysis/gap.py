@@ -244,7 +244,7 @@ def compute_gap(
     schedulers = tuple(dict.fromkeys(schedulers))
 
     # Lazy: repro.experiments.figures imports repro.analysis, so the
-    # campaign shim cannot be a module-level import here.
+    # campaign helper cannot be a module-level import here.
     from ..experiments.sweeps import _campaign_or_default
 
     submission = _campaign_or_default(campaign).submit(

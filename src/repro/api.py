@@ -1,8 +1,6 @@
 """The unified run surface: one ``run(config)`` for every run kind.
 
-Historically each tier had its own entry point (``run_experiment``,
-``run_farm``, and federation would have added a third).  This facade
-makes the config type the dispatcher:
+The config type is the dispatcher:
 
 * :class:`~repro.experiments.config.ExperimentConfig` →
   :class:`~repro.experiments.runner.ExperimentResult`
@@ -16,15 +14,11 @@ cache, the journal, and the CLI treat the three kinds uniformly.
 ``run`` is a plain module-level function (picklable), and it accepts
 the ``obs`` keyword, so it drops into the campaign engine as the
 default runner — including worker processes and ``trace_dir`` capture.
-
-The old entry points remain as deprecation shims that route through
-here; see docs/API.md for the old → new mapping.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Callable, Optional, Set, Union
+from typing import Callable, Optional, Union
 
 from .experiments.config import ExperimentConfig
 from .experiments.runner import ExperimentResult, _run_experiment
@@ -38,23 +32,6 @@ __all__ = ["run"]
 RunConfig = Union[ExperimentConfig, FarmConfig, FederationConfig]
 #: Result types ``run`` returns.
 RunResult = Union[ExperimentResult, FarmResult, FederationResult]
-
-#: Deprecated entry points that already warned this process (each shim
-#: emits one DeprecationWarning per process, not one per call).
-_DEPRECATIONS_EMITTED: Set[str] = set()
-
-
-def _warn_deprecated(old: str, new: str) -> None:
-    """Emit the one-per-process DeprecationWarning for a legacy shim."""
-    if old in _DEPRECATIONS_EMITTED:
-        return
-    _DEPRECATIONS_EMITTED.add(old)
-    warnings.warn(
-        f"{old}() is deprecated; use {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
 
 def run(
     config: RunConfig,
@@ -76,18 +53,13 @@ def run(
                 "obs= to trace a single experiment"
             )
         return _run_experiment(config, obs=obs)
+    if tracer_factory is None and obs is not None:
+        tracer_factory = lambda index: obs if index == 0 else None
     if isinstance(config, FarmConfig):
-        if tracer_factory is None and obs is not None:
-            tracer_factory = lambda index: obs if index == 0 else None
-        report = _run_farm(
-            config.base,
-            config.jukebox_count,
-            config.total_queue_length,
-            tracer_factory=tracer_factory,
-        )
+        report = _run_farm(config, tracer_factory=tracer_factory)
         return FarmResult(config=config, report=report)
     if isinstance(config, FederationConfig):
-        return run_federation(config, obs=obs, tracer_factory=tracer_factory)
+        return run_federation(config, tracer_factory=tracer_factory)
     raise TypeError(
         f"run() accepts ExperimentConfig, FarmConfig, or FederationConfig; "
         f"got {type(config).__name__}"

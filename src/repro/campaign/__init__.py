@@ -22,11 +22,9 @@ is the single choke point those families compile down to:
 * :class:`ProgressPrinter` / :class:`ProgressEvent` — optional progress
   callbacks for long campaigns.
 
-The sweep/figure/replication helpers in :mod:`repro.experiments` are
-thin shims over :meth:`Campaign.submit`; new code should build configs
-and submit them directly (see docs/API.md for the old→new mapping, and
-docs/RELIABILITY.md for the journal format, resume workflow, and
-failure taxonomy).
+The sweep/figure/replication helpers in :mod:`repro.experiments` each
+make one :meth:`Campaign.submit` call (see docs/RELIABILITY.md for the
+journal format, resume workflow, and failure taxonomy).
 """
 
 from .cache import ResultCache

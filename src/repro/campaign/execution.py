@@ -149,7 +149,7 @@ def _execute_point(
     and its raw stats are dumped to ``<config_digest[:16]>.prof`` in
     that directory (the dump happens in the worker process, so profiles
     work with ``jobs > 1``).  When ``trace_dir`` is set and the runner
-    accepts an ``obs`` keyword (the default :func:`run_experiment`
+    accepts an ``obs`` keyword (the default :func:`repro.api.run`
     does), the point runs with a :class:`~repro.obs.Tracer` attached
     and its trace artifacts are dumped there, also worker-side.  Cache
     hits never reach this function, so every artifact reflects an

@@ -1,16 +1,16 @@
 """Evaluation harness: configs, runs, sweeps, and figure regeneration.
 
-The sweep/figure/replication helpers here are compatibility shims over
+Single runs go through :func:`repro.api.run`.  The sweep, figure and
+replication helpers here each make one submission to
 :class:`repro.campaign.Campaign` — the execution engine with process
-parallelism, content-addressed result caching, and failure isolation.
-New code should build :class:`ExperimentConfig` batches and call
-:meth:`Campaign.submit` directly (docs/API.md maps old calls to new).
+parallelism, content-addressed result caching, and failure isolation —
+and accept ``campaign=`` to run it in parallel and/or cached.
 """
 
 from .config import DEFAULT_HORIZON_S, ExperimentConfig
 from .figures import FIGURES, FigureData
 from .replications import ReplicationReport, replicate, significantly_better
-from .runner import ExperimentResult, build_simulator, run_experiment
+from .runner import ExperimentResult, build_simulator
 from .store import (
     config_from_dict,
     config_to_dict,
@@ -22,7 +22,6 @@ from .sweeps import (
     CurvePoint,
     PAPER_QUEUE_LENGTHS,
     curve_family,
-    interarrival_sweep,
     queue_sweep,
     queue_sweep_configs,
 )
@@ -40,12 +39,10 @@ __all__ = [
     "config_from_dict",
     "config_to_dict",
     "curve_family",
-    "interarrival_sweep",
     "load_results",
     "queue_sweep",
     "queue_sweep_configs",
     "replicate",
-    "run_experiment",
     "save_results",
     "schema_fingerprint",
     "significantly_better",

@@ -8,23 +8,20 @@ provides that harness plus a helper to decide whether two
 configurations differ significantly — used by tests to keep the
 benchmark assertions honest about noise.
 
-.. deprecated::
-    :func:`replicate` is a shim over
-    :meth:`repro.campaign.Campaign.submit`; the derived-seed variants
-    come from :meth:`repro.campaign.Campaign.derive_variants`, so seeds
-    are identical to the historical serial loop.  Pass ``campaign=`` to
-    run replications in parallel and/or cached.
+:func:`replicate` makes one :meth:`repro.campaign.Campaign.submit`
+call over the derived-seed variants of
+:meth:`repro.campaign.Campaign.derive_variants`.  Pass ``campaign=`` to
+run the replications in parallel and/or cached.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ..stats.batchmeans import ConfidenceInterval, t_quantile_975
 from .config import ExperimentConfig
-from .runner import ExperimentResult, _run_experiment
 
 
 @dataclass(frozen=True)
@@ -64,15 +61,13 @@ def _interval(values: Sequence[float]) -> ConfidenceInterval:
 def replicate(
     config: ExperimentConfig,
     replications: int = 5,
-    runner: Callable[[ExperimentConfig], ExperimentResult] = _run_experiment,
     campaign=None,
 ) -> ReplicationReport:
     """Run ``config`` under ``replications`` derived seeds.
 
-    When ``campaign`` is given it executes the variants (possibly in
-    parallel, possibly from cache) and ``runner`` is ignored; otherwise
-    an implicit serial campaign wraps ``runner``, preserving the
-    original behaviour and seeds exactly.
+    ``campaign`` executes the variants (possibly in parallel, possibly
+    from cache); without one a serial, uncached :class:`Campaign` runs
+    them.
     """
     from ..campaign import Campaign
 
@@ -80,7 +75,7 @@ def replicate(
         raise ValueError(f"replications must be >= 1, got {replications!r}")
     variants = Campaign.derive_variants(config, replications)
     if campaign is None:
-        campaign = Campaign(runner=runner)
+        campaign = Campaign()
     submission = campaign.submit(variants)
     results = tuple(submission.require(variant) for variant in variants)
     throughputs = tuple(result.throughput_kb_s for result in results)

@@ -156,18 +156,3 @@ def _run_experiment(
     simulator = build_simulator(config, obs=obs)
     report = simulator.run(config.horizon_s)
     return ExperimentResult(config=config, report=report)
-
-
-def run_experiment(
-    config: ExperimentConfig, obs: Optional[Tracer] = None
-) -> ExperimentResult:
-    """Deprecated entry point: route through :func:`repro.api.run`.
-
-    Signature and return type are unchanged; new code should call
-    ``repro.api.run(config)``, which dispatches experiment, farm, and
-    federation configs through one surface.
-    """
-    from ..api import _warn_deprecated, run
-
-    _warn_deprecated("run_experiment", "repro.api.run(config)")
-    return run(config, obs=obs)

@@ -5,14 +5,9 @@ Most of the paper's graphs are *parametric*: the independent variable
 (throughput, delay) space, and a second variable (algorithm, placement,
 skew, ...) yields a family of curves.
 
-.. deprecated::
-    These helpers are thin shims over
-    :meth:`repro.campaign.Campaign.submit` — the single execution
-    surface with parallelism, caching, and failure isolation.  They
-    keep their original signatures (a bare call runs serially and
-    uncached, exactly as before) and gain an optional ``campaign=``
-    argument; new code should build configs and submit a campaign
-    directly.  See docs/API.md for the old→new mapping.
+Each helper makes one :meth:`repro.campaign.Campaign.submit` call.  A
+bare call runs serially and uncached; pass ``campaign=`` to run the
+points in parallel and/or from a result cache.
 """
 
 from __future__ import annotations
@@ -78,20 +73,6 @@ def queue_sweep(
 ) -> List[CurvePoint]:
     """Trace one closed-queueing parametric curve over ``queue_lengths``."""
     configs = queue_sweep_configs(base, queue_lengths)
-    submission = _campaign_or_default(campaign).submit(configs)
-    return [CurvePoint.from_result(submission.require(config)) for config in configs]
-
-
-def interarrival_sweep(
-    base: ExperimentConfig,
-    interarrivals_s: Sequence[float],
-    campaign=None,
-) -> List[CurvePoint]:
-    """Trace one open-queueing curve over mean interarrival times."""
-    configs = [
-        base.with_(queue_length=None, mean_interarrival_s=interarrival_s)
-        for interarrival_s in interarrivals_s
-    ]
     submission = _campaign_or_default(campaign).submit(configs)
     return [CurvePoint.from_result(submission.require(config)) for config in configs]
 

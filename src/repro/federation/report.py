@@ -31,12 +31,12 @@ class FederationReport:
     #: One report per library, in fleet index order.
     per_library: List[MetricsReport]
     #: Requests the routing phase sent to each library (parallel to
-    #: :attr:`per_library`); the farm-style even split under the
+    #: :attr:`per_library`); the whole population under the
     #: pass-through policy.
     routed_requests: Tuple[int, ...] = ()
     #: The global policy that produced the routing.
     policy: str = ""
-    #: Per-library traces (empty unless a ``tracer_factory`` was given).
+    #: Per-library traces (empty unless the run was traced).
     traces: List["Tracer"] = field(default_factory=list)
 
     @property

@@ -14,8 +14,8 @@ A federated run has two phases:
    single-/multi-drive service loop via its own derived
    :class:`~repro.experiments.config.ExperimentConfig` (per-library
    seed stream ``farm:<index>``, identical to the farm path, which is
-   what makes a 1-library pass-through federation bit-identical to
-   ``run_farm``).  Faults, QoS, and obs layers apply unchanged.
+   what makes a 1-library pass-through federation bit-identical to a
+   1-jukebox farm).  Faults, QoS, and obs layers apply unchanged.
 
 Libraries the routing phase sends nothing to produce an idle all-zero
 report rather than being skipped, so per-library lists always align
@@ -141,9 +141,9 @@ def library_config(
 ) -> ExperimentConfig:
     """The derived single-library config for fleet member ``index``.
 
-    Seeds use the ``farm:<index>`` stream — the same derivation as
-    :func:`repro.service.farm.run_farm` — so the 1-library pass-through
-    federation reuses the farm's exact per-library configs.
+    Seeds use the ``farm:<index>`` stream — the same derivation as a
+    :class:`~repro.service.farm.FarmConfig` run — so the 1-library
+    pass-through federation reuses the farm's exact per-library configs.
     """
     library = config.libraries[index]
     return ExperimentConfig(
@@ -181,15 +181,13 @@ def _idle_report(config: FederationConfig) -> MetricsReport:
 
 def run_federation(
     config: FederationConfig,
-    obs: Optional["Tracer"] = None,
     tracer_factory: Optional[Callable[[int], "Tracer"]] = None,
 ) -> FederationResult:
     """Simulate a federated fleet end to end.
 
-    ``obs`` (optional) traces library 0 — the single-tracer hook the
-    campaign engine's ``trace_dir`` uses uniformly across run kinds.
-    ``tracer_factory(index)`` (optional) traces every library, like
-    :func:`~repro.service.farm.run_farm`; it wins over ``obs``.
+    ``tracer_factory(index)`` (optional) returns the tracer for library
+    ``index`` (or ``None`` to leave it untraced), like a farm run; pass
+    ``obs=`` to :func:`repro.api.run` to trace library 0 only.
     """
     from ..experiments.runner import _run_experiment  # circular-import guard
     from .report import FederationReport
@@ -203,14 +201,11 @@ def run_federation(
         )
 
     if policy.bypass_routing:
-        # The farm's even split, no routing stream consumed: the
-        # 1-library case degenerates to the whole population at home.
-        share, remainder = divmod(config.queue_length, config.size)
-        queue_lengths = [
-            share + (1 if index < remainder else 0) for index in range(config.size)
-        ]
+        # No routing stream consumed: the one library serves the whole
+        # population at home, exactly like a 1-jukebox farm.
+        queue_lengths = [config.queue_length]
         routed = list(queue_lengths)
-        local_rh = [config.percent_requests_hot] * config.size
+        local_rh = [config.percent_requests_hot]
     else:
         routed, hot_routed = route_fleet(config, registry, policy)
         queue_lengths = apportion(
@@ -222,9 +217,6 @@ def run_federation(
             else config.percent_requests_hot
             for index in range(config.size)
         ]
-
-    if tracer_factory is None and obs is not None:
-        tracer_factory = lambda index: obs if index == 0 else None
 
     reports: List[MetricsReport] = []
     traces: List["Tracer"] = []

@@ -2,7 +2,7 @@
 
 ``repro.obs`` answers *where did the time go?* for a simulated run.
 Attach a :class:`Tracer` to a simulator (``obs=`` on the constructors
-and on :func:`repro.experiments.runner.run_experiment`) and every
+and on :func:`repro.api.run`) and every
 admitted request accumulates a chain of typed phase spans from arrival
 to its terminal outcome, every drive gets an activity timeline, every
 major reschedule lands in a decision log, and fault/QoS events are

@@ -1,7 +1,7 @@
 """The paper's service model wired into the simulation kernel."""
 
 from .metrics import KB, MB, MetricsCollector, MetricsReport
-from .farm import FarmConfig, FarmReport, FarmResult, run_farm
+from .farm import FarmConfig, FarmReport, FarmResult
 from .oplog import OpKind, Operation, OperationLog
 from .rollup import ReportRollup, merge_reports, report_registry
 from .simulator import JukeboxSimulator
@@ -24,5 +24,4 @@ __all__ = [
     "Operation",
     "OperationLog",
     "WritebackSimulator",
-    "run_farm",
 ]

@@ -40,7 +40,8 @@ class FarmReport:
 
     per_jukebox: List[MetricsReport]
     #: Per-jukebox traces, parallel to :attr:`per_jukebox`; empty unless
-    #: :func:`run_farm` was given a ``tracer_factory``.
+    #: the run was traced (``obs`` or ``tracer_factory`` on
+    #: :func:`repro.api.run`).
     traces: List["Tracer"] = field(default_factory=list)
 
     @property
@@ -106,10 +107,8 @@ class FarmReport:
 class FarmConfig:
     """All knobs of one farm run, as a first-class config.
 
-    Historically farms were run positionally via :func:`run_farm`;
-    wrapping the same three knobs in a config dataclass gives farms the
-    identity every other run kind has — JSON round-trip, content
-    digests, campaign caching, and dispatch through
+    A farm has the identity every other run kind has — JSON round-trip,
+    content digests, campaign caching, and dispatch through
     :func:`repro.api.run`.
     """
 
@@ -171,58 +170,34 @@ class FarmResult:
 
 
 def _run_farm(
-    base: "ExperimentConfig",
-    jukebox_count: int,
-    total_queue_length: int,
+    config: FarmConfig,
     tracer_factory: Optional[Callable[[int], "Tracer"]] = None,
 ) -> FarmReport:
-    """Simulate a farm of ``jukebox_count`` identical jukeboxes.
+    """Simulate a farm of ``config.jukebox_count`` identical jukeboxes.
 
-    ``total_queue_length`` is the farm-wide closed population; each
-    jukebox serves an even share (remainders go to the first
+    ``config.total_queue_length`` is the farm-wide closed population;
+    each jukebox serves an even share (remainders go to the first
     jukeboxes).  Seeds are derived per jukebox so streams differ but the
-    whole farm stays reproducible from ``base.seed``.
+    whole farm stays reproducible from ``config.base.seed``.
 
     ``tracer_factory`` (optional) is called as ``tracer_factory(index)``
     per jukebox; each returned :class:`~repro.obs.Tracer` is attached to
     that jukebox's run and collected on :attr:`FarmReport.traces`.
     """
-    FarmConfig(base, jukebox_count, total_queue_length)  # shared validation
     from ..experiments.runner import _run_experiment  # circular-import guard
 
-    share, remainder = divmod(total_queue_length, jukebox_count)
+    base = config.base
+    share, remainder = divmod(config.total_queue_length, config.jukebox_count)
     reports: List[MetricsReport] = []
     traces: List["Tracer"] = []
-    for index in range(jukebox_count):
+    for index in range(config.jukebox_count):
         queue_length = share + (1 if index < remainder else 0)
-        config = base.with_(
+        member = base.with_(
             queue_length=queue_length,
             seed=derive_seed(base.seed, f"farm:{index}") % (2**31),
         )
         obs = tracer_factory(index) if tracer_factory is not None else None
-        reports.append(_run_experiment(config, obs=obs).report)
+        reports.append(_run_experiment(member, obs=obs).report)
         if obs is not None:
             traces.append(obs)
     return FarmReport(per_jukebox=reports, traces=traces)
-
-
-def run_farm(
-    base: "ExperimentConfig",
-    jukebox_count: int,
-    total_queue_length: int,
-    tracer_factory: Optional[Callable[[int], "Tracer"]] = None,
-) -> FarmReport:
-    """Deprecated entry point: route through :func:`repro.api.run`.
-
-    Signature and return type are unchanged; new code should call
-    ``repro.api.run(FarmConfig(base, jukebox_count, total_queue_length))``
-    and use the returned :class:`FarmResult`.
-    """
-    from ..api import _warn_deprecated, run
-
-    _warn_deprecated(
-        "run_farm",
-        "repro.api.run(FarmConfig(base, jukebox_count, total_queue_length))",
-    )
-    config = FarmConfig(base, jukebox_count, total_queue_length)
-    return run(config, tracer_factory=tracer_factory).report

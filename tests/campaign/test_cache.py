@@ -4,8 +4,9 @@ import json
 
 import pytest
 
+from repro.api import run
 from repro.campaign import ResultCache
-from repro.experiments import ExperimentConfig, run_experiment
+from repro.experiments import ExperimentConfig
 
 CONFIG = ExperimentConfig(
     queue_length=5, horizon_s=5_000.0, tape_count=4, capacity_mb=500.0
@@ -14,7 +15,7 @@ CONFIG = ExperimentConfig(
 
 @pytest.fixture(scope="module")
 def result():
-    return run_experiment(CONFIG)
+    return run(CONFIG)
 
 
 class TestCacheHitMiss:

@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from repro.api import run
 from repro.campaign import (
     Campaign,
     CampaignJournal,
@@ -22,7 +23,7 @@ from repro.campaign import (
     config_digest,
 )
 from repro.campaign.supervisor import auto_chunk_size
-from repro.experiments import ExperimentConfig, run_experiment
+from repro.experiments import ExperimentConfig
 from repro.obs import MetricRegistry
 
 pytestmark = pytest.mark.skipif(
@@ -238,7 +239,7 @@ class _DieOnceOnQueue:
             with open(self.marker, "w"):
                 pass
             os._exit(9)
-        return run_experiment(config)
+        return run(config)
 
 
 class _DieAlwaysOnQueues:
@@ -250,7 +251,7 @@ class _DieAlwaysOnQueues:
     def __call__(self, config):
         if config.queue_length in self.victims:
             os._exit(9)
-        return run_experiment(config)
+        return run(config)
 
 
 class TestEngineChunking:

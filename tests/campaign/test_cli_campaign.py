@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.api import run
 from repro.campaign import Campaign
 from repro.cli import main
-from repro.experiments import run_experiment
 
 SWEEP = [
     "sweep", "--tapes", "4", "--queues", "5,10", "--horizon", "5000",
@@ -70,7 +70,7 @@ class TestRunFlags:
 def _failing_runner(config):
     if config.queue_length == 10:
         raise RuntimeError("synthetic point failure")
-    return run_experiment(config)
+    return run(config)
 
 
 class _FailingCampaign(Campaign):

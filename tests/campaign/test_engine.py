@@ -5,8 +5,9 @@ import os
 
 import pytest
 
+from repro.api import run
 from repro.campaign import Campaign, CampaignPointError, PointFailure
-from repro.experiments import ExperimentConfig, run_experiment
+from repro.experiments import ExperimentConfig
 from repro.faults import FaultConfig
 from repro.rng import derive_seed
 
@@ -28,7 +29,7 @@ def _failing_runner(config):
     """Module-level (hence picklable) runner that fails one point."""
     if config.queue_length == 10:
         raise RuntimeError("synthetic point failure")
-    return run_experiment(config)
+    return run(config)
 
 
 def _hard_crash_runner(config):

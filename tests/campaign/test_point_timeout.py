@@ -4,9 +4,10 @@ import time
 
 import pytest
 
+from repro.api import run
 from repro.campaign import Campaign, PointTimeoutError
 from repro.campaign.engine import _wall_clock_limit
-from repro.experiments import ExperimentConfig, run_experiment
+from repro.experiments import ExperimentConfig
 
 BASE = ExperimentConfig(
     queue_length=5, horizon_s=5_000.0, tape_count=4, capacity_mb=500.0
@@ -19,7 +20,7 @@ def _hanging_runner(config):
         deadline = time.monotonic() + 60.0
         while time.monotonic() < deadline:  # un-cooperative busy loop
             pass
-    return run_experiment(config)
+    return run(config)
 
 
 def _grid(count: int = 3):
@@ -110,7 +111,7 @@ class TestCampaignTimeouts:
         campaign.submit(configs)
         # Re-submit without the hang: the timed-out point must re-run
         # (a cache hit would replay the failure forever).
-        retry = Campaign(runner=run_experiment, cache_dir=tmp_path)
+        retry = Campaign(runner=run, cache_dir=tmp_path)
         submission = retry.submit(configs)
         assert submission.stats.cache_hits == 2
         assert submission.stats.executed == 1

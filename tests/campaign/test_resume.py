@@ -2,13 +2,14 @@
 
 import pytest
 
+from repro.api import run
 from repro.campaign import (
     Campaign,
     CampaignJournal,
     JournalCompatError,
     config_digest,
 )
-from repro.experiments import ExperimentConfig, run_experiment
+from repro.experiments import ExperimentConfig
 
 BASE = ExperimentConfig(
     queue_length=5, horizon_s=5_000.0, tape_count=4, capacity_mb=500.0
@@ -30,13 +31,13 @@ class _InterruptOn:
         if config.queue_length == self.victim_queue_length and not self.fired:
             self.fired = True
             raise KeyboardInterrupt
-        return run_experiment(config)
+        return run(config)
 
 
 def _failing_runner(config):
     if config.queue_length == 10:
         raise RuntimeError("synthetic point failure")
-    return run_experiment(config)
+    return run(config)
 
 
 class TestJournaling:

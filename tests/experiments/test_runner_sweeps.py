@@ -2,12 +2,12 @@
 
 import pytest
 
+from repro.api import run
 from repro.experiments import (
     CurvePoint,
     ExperimentConfig,
     build_simulator,
     queue_sweep,
-    run_experiment,
 )
 from repro.experiments.figures import figure3, figure6, figure10a
 from repro.layout import Layout
@@ -18,7 +18,7 @@ FAST = dict(horizon_s=15_000.0)
 
 class TestRunner:
     def test_run_produces_metrics(self):
-        result = run_experiment(ExperimentConfig(**FAST))
+        result = run(ExperimentConfig(**FAST))
         assert result.throughput_kb_s > 0
         assert result.mean_response_s > 0
         assert result.requests_per_min > 0
@@ -26,8 +26,8 @@ class TestRunner:
 
     def test_same_config_is_reproducible(self):
         config = ExperimentConfig(**FAST)
-        first = run_experiment(config)
-        second = run_experiment(config)
+        first = run(config)
+        second = run(config)
         assert first.throughput_kb_s == second.throughput_kb_s
 
     def test_build_simulator_validates_layout(self):
@@ -35,12 +35,12 @@ class TestRunner:
         assert simulator.catalog.n_hot > 0
 
     def test_drive_speedup_improves_throughput(self):
-        slow = run_experiment(ExperimentConfig(**FAST))
-        fast = run_experiment(ExperimentConfig(drive_speedup=2.0, **FAST))
+        slow = run(ExperimentConfig(**FAST))
+        fast = run(ExperimentConfig(drive_speedup=2.0, **FAST))
         assert fast.throughput_kb_s > slow.throughput_kb_s
 
     def test_open_model_runs(self):
-        result = run_experiment(
+        result = run(
             ExperimentConfig(queue_length=None, mean_interarrival_s=200.0, **FAST)
         )
         assert result.report.total_completed > 0

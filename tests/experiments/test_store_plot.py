@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.experiments import ExperimentConfig, run_experiment
+from repro.api import run
+from repro.experiments import ExperimentConfig
 from repro.experiments.store import (
     FORMAT_VERSION,
     load_results,
@@ -15,7 +16,7 @@ from repro.report.plot import ascii_scatter, plot_throughput_delay
 
 @pytest.fixture(scope="module")
 def result():
-    return run_experiment(ExperimentConfig(queue_length=10, horizon_s=8_000.0))
+    return run(ExperimentConfig(queue_length=10, horizon_s=8_000.0))
 
 
 class TestResultStore:
@@ -66,7 +67,7 @@ class TestResultStore:
     def test_fault_config_round_trips_through_json(self, tmp_path):
         from repro.faults import FaultConfig, RetryPolicy
 
-        faulted = run_experiment(
+        faulted = run(
             ExperimentConfig(
                 queue_length=10,
                 horizon_s=8_000.0,
@@ -137,7 +138,7 @@ class TestAsciiPlot:
     def test_qos_config_round_trips_through_json(self, tmp_path):
         from repro.qos import QoSConfig
 
-        qos_result = run_experiment(
+        qos_result = run(
             ExperimentConfig(
                 queue_length=10,
                 horizon_s=8_000.0,

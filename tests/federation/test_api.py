@@ -1,15 +1,15 @@
-"""The unified run surface: dispatch by config kind, deprecation shims."""
-
-import warnings
+"""The unified run surface: dispatch by config kind, traced members."""
 
 import pytest
 
-from repro.api import _DEPRECATIONS_EMITTED, run
+from repro.api import run
 from repro.experiments import ExperimentConfig
-from repro.experiments.runner import ExperimentResult, run_experiment
+from repro.experiments.runner import ExperimentResult
 from repro.federation import FederationConfig, LibraryConfig
 from repro.federation.runner import FederationResult
-from repro.service.farm import FarmConfig, FarmResult, run_farm
+from repro.obs import Tracer
+from repro.service.farm import FarmConfig, FarmResult
+from repro.service.metrics import report_digest
 
 FAST = dict(queue_length=5, horizon_s=5_000.0, tape_count=4, capacity_mb=500.0)
 
@@ -46,44 +46,43 @@ class TestDispatch:
             run(ExperimentConfig(**FAST), tracer_factory=lambda index: None)
 
 
-class TestDeprecationShims:
-    def _reset(self):
-        _DEPRECATIONS_EMITTED.clear()
+FARM = FarmConfig(ExperimentConfig(**FAST), 2, 10)
+FEDERATION = FederationConfig(
+    libraries=(
+        LibraryConfig(tape_count=4, capacity_mb=500.0),
+        LibraryConfig(tape_count=4, capacity_mb=500.0),
+    ),
+    queue_length=10,
+    horizon_s=5_000.0,
+)
 
-    def test_run_experiment_warns_once_and_matches_run(self):
-        self._reset()
-        config = ExperimentConfig(**FAST)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            shimmed = run_experiment(config)
-            run_experiment(config)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "repro.api.run" in str(deprecations[0].message)
-        assert shimmed.report == run(config).report
 
-    def test_run_farm_warns_once_and_matches_run(self):
-        self._reset()
-        base = ExperimentConfig(**FAST)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            shimmed = run_farm(base, 2, 10)
-            run_farm(base, 2, 10)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert shimmed.per_jukebox == run(FarmConfig(base, 2, 10)).report.per_jukebox
+def member_reports(result):
+    """The per-jukebox or per-library reports of a farm or federation."""
+    if isinstance(result, FarmResult):
+        return result.report.per_jukebox
+    return result.report.per_library
 
-    def test_shims_warn_independently(self):
-        self._reset()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            run_experiment(ExperimentConfig(**FAST))
-            run_farm(ExperimentConfig(**FAST), 1, 5)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 2
+
+@pytest.mark.parametrize("config", [FARM, FEDERATION], ids=["farm", "federation"])
+@pytest.mark.parametrize("hook", ["obs", "tracer_factory"])
+def test_traced_members(config, hook):
+    """``obs`` traces member 0 only, ``tracer_factory`` every member,
+    and tracing leaves every member's report bit-identical."""
+    if hook == "obs":
+        tracer = Tracer()
+        result = run(config, obs=tracer)
+        assert result.report.traces == [tracer]
+    else:
+        tracers = {}
+        result = run(
+            config,
+            tracer_factory=lambda index: tracers.setdefault(index, Tracer()),
+        )
+        assert result.report.traces == [tracers[0], tracers[1]]
+    for tracer in result.report.traces:
+        assert tracer.terminal_traces(), "a traced member recorded nothing"
+    untraced = run(config)
+    assert [report_digest(report) for report in member_reports(result)] == [
+        report_digest(report) for report in member_reports(untraced)
+    ]

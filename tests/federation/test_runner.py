@@ -3,11 +3,15 @@
 The pass-through golden digest below pins the bit-identity acceptance
 criterion: a 1-library federation routed through the global tier must
 reproduce *byte for byte* the report of the equivalent farm run (and
-both are pinned, so drift in either path fails loudly).
+both are pinned, so drift in either path fails loudly).  A generated
+twin check extends that to scheduler, drive count, replicas, faults
+and QoS, with the plain experiment as the third twin.
 """
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from repro.api import run
 from repro.experiments import ExperimentConfig
 from repro.federation import (
     FederationConfig,
@@ -18,8 +22,19 @@ from repro.federation import (
     run_federation,
 )
 from repro.federation.report import federation_report_digest
-from repro.service.farm import _run_farm
+from repro.faults import FaultConfig
+from repro.layout import Layout
+from repro.qos import QoSConfig
+from repro.rng import derive_seed
+from repro.service.farm import FarmConfig
 from repro.service.metrics import report_digest
+
+from ..service.test_read_placement import (
+    FAULTS,
+    MULTI_DRIVE_SCHEDULERS,
+    QOS,
+    SCHEDULERS,
+)
 
 #: Pinned on the tree that introduced repro.federation; the same digest
 #: must come out of both the farm path and the pass-through federation.
@@ -44,7 +59,7 @@ class TestPassThroughBitIdentity:
 
     def test_farm_path_agrees(self):
         base = ExperimentConfig(queue_length=24, horizon_s=50_000.0)
-        farm = _run_farm(base, 1, 24)
+        farm = run(FarmConfig(base, 1, 24)).report
         assert report_digest(farm.per_jukebox[0]) == PASS_THROUGH_GOLDEN
 
     def test_pass_through_rejects_multi_library_fleets(self):
@@ -125,6 +140,79 @@ class TestRunFederation:
 
         tracer = Tracer()
         config = FederationConfig(horizon_s=20_000.0, queue_length=10)
-        result = run_federation(config, obs=tracer)
+        result = run(config, obs=tracer)
         assert result.report.traces == [tracer]
         assert list(tracer.terminal_traces()), "library 0 produced no traces"
+
+
+@st.composite
+def closed_configs(draw):
+    """Closed single-library configs, shaped like the read-placement ones."""
+    drive_count = draw(st.sampled_from([1, 2, 3]))
+    scheduler = draw(
+        st.sampled_from(SCHEDULERS if drive_count == 1 else MULTI_DRIVE_SCHEDULERS)
+    )
+    replicas = draw(st.sampled_from([0, 1, 2]))
+    return ExperimentConfig(
+        scheduler=scheduler,
+        drive_count=drive_count,
+        tape_count=6,
+        capacity_mb=2000.0,
+        replicas=replicas,
+        layout=Layout.VERTICAL if replicas else Layout.HORIZONTAL,
+        faults=draw(FAULTS),
+        qos=draw(QOS),
+        queue_length=draw(st.sampled_from([1, 8, 20])),
+        horizon_s=8_000.0,
+        seed=draw(st.integers(0, 10_000)),
+    )
+
+
+@settings(max_examples=15, deadline=None)
+@given(closed_configs())
+# Every layer at once, at a load where each one moves the digest.
+@example(
+    ExperimentConfig(
+        drive_count=2,
+        tape_count=6,
+        capacity_mb=2000.0,
+        replicas=2,
+        layout=Layout.VERTICAL,
+        faults=FaultConfig(media_error_rate=0.05, seed=7),
+        qos=QoSConfig(deadline_s=3000.0),
+        queue_length=20,
+        horizon_s=8_000.0,
+        seed=3,
+    )
+)
+def test_one_library_federation_farm_and_experiment_agree(base):
+    """A 1-library pass-through federation, a 1-jukebox farm and the
+    plain run of the farm's member config produce one report."""
+    federation = FederationConfig(
+        libraries=(
+            LibraryConfig(
+                tape_count=base.tape_count,
+                capacity_mb=base.capacity_mb,
+                drive_count=base.drive_count,
+            ),
+        ),
+        global_policy="pass-through",
+        placement="home",
+        # Home placement builds each library with NR = fleet_replicas.
+        fleet_replicas=base.replicas,
+        scheduler=base.scheduler,
+        layout=base.layout,
+        queue_length=base.queue_length,
+        horizon_s=base.horizon_s,
+        seed=base.seed,
+        faults=base.faults,
+        qos=base.qos,
+    )
+    farm = FarmConfig(base, 1, base.queue_length)
+    member = base.with_(seed=derive_seed(base.seed, "farm:0") % (2**31))
+    digests = {
+        report_digest(run(federation).report.per_library[0]),
+        report_digest(run(farm).report.per_jukebox[0]),
+        report_digest(run(member).report),
+    }
+    assert len(digests) == 1

@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.api import run
 from repro.core import make_scheduler
 from repro.experiments import ExperimentConfig
-from repro.experiments.runner import run_experiment
 from repro.qos import QoSConfig, StarvationGuardScheduler
 
 HORIZON = 120_000.0
@@ -41,8 +41,8 @@ class TestWrapper:
 class TestGuardInTheLoop:
     def test_guard_fires_and_bounds_the_tail(self):
         threshold = 3_000.0
-        unguarded = run_experiment(BASE).report
-        guarded = run_experiment(
+        unguarded = run(BASE).report
+        guarded = run(
             BASE.with_(qos=QoSConfig(starvation_age_s=threshold))
         ).report
         assert guarded.forced_promotions > 0
@@ -56,7 +56,7 @@ class TestGuardInTheLoop:
          "envelope-max-bandwidth"],
     )
     def test_guard_works_across_scheduler_families(self, scheduler):
-        report = run_experiment(
+        report = run(
             BASE.with_(
                 scheduler=scheduler,
                 qos=QoSConfig(starvation_age_s=2_000.0),
@@ -69,14 +69,14 @@ class TestGuardInTheLoop:
         # envelope scheduler's worst-case response time.
         threshold = 3_000.0
         base = BASE.with_(scheduler="envelope-max-bandwidth")
-        unguarded = run_experiment(base).report
-        guarded = run_experiment(
+        unguarded = run(base).report
+        guarded = run(
             base.with_(qos=QoSConfig(starvation_age_s=threshold))
         ).report
         assert guarded.max_response_s <= unguarded.max_response_s
 
     def test_no_promotions_when_nothing_starves(self):
-        report = run_experiment(
+        report = run(
             BASE.with_(qos=QoSConfig(starvation_age_s=10.0 * HORIZON))
         ).report
         assert report.forced_promotions == 0

@@ -132,9 +132,10 @@ class TestWaitingBreakdown:
         assert metrics.report().mean_waiting_s == 0.0
 
     def test_simulator_populates_waiting(self):
-        from repro.experiments import ExperimentConfig, run_experiment
+        from repro.api import run
+        from repro.experiments import ExperimentConfig
 
-        report = run_experiment(
+        report = run(
             ExperimentConfig(queue_length=20, horizon_s=10_000.0)
         ).report
         assert 0.0 < report.mean_waiting_s < report.mean_response_s

@@ -1,7 +1,7 @@
 """Every example script must run end to end (tiny horizons).
 
 Scripts run with deprecation warnings as errors, so an example that
-calls a deprecated shim (e.g. ``run_experiment``) fails here.
+calls a deprecated API fails here.
 """
 
 import subprocess

@@ -70,9 +70,10 @@ class TestZipfSkew:
 
 class TestZipfEndToEnd:
     def test_config_integration(self):
-        from repro.experiments import ExperimentConfig, run_experiment
+        from repro.api import run
+        from repro.experiments import ExperimentConfig
 
-        result = run_experiment(
+        result = run(
             ExperimentConfig(zipf_theta=1.0, queue_length=20, horizon_s=15_000.0)
         )
         assert result.report.total_completed > 0
@@ -80,13 +81,14 @@ class TestZipfEndToEnd:
     def test_zipf_replication_still_helps(self):
         """Replicating the top-PH% ranked blocks pays off under Zipf
         traffic just as hot/cold replication does."""
-        from repro.experiments import ExperimentConfig, run_experiment
+        from repro.api import run
+        from repro.experiments import ExperimentConfig
         from repro.layout import Layout
 
-        base = run_experiment(
+        base = run(
             ExperimentConfig(zipf_theta=1.0, queue_length=60, horizon_s=50_000.0)
         )
-        replicated = run_experiment(
+        replicated = run(
             ExperimentConfig(
                 zipf_theta=1.0,
                 queue_length=60,
@@ -117,12 +119,13 @@ class TestMultiDriveConfigIntegration:
         assert simulator.bays[0].pool is simulator.bays[1].pool
 
     def test_two_drive_run_via_config(self):
-        from repro.experiments import ExperimentConfig, run_experiment
+        from repro.api import run
+        from repro.experiments import ExperimentConfig
 
-        one = run_experiment(
+        one = run(
             ExperimentConfig(queue_length=40, horizon_s=20_000.0)
         )
-        two = run_experiment(
+        two = run(
             ExperimentConfig(drive_count=2, queue_length=40, horizon_s=20_000.0)
         )
         assert two.throughput_kb_s > one.throughput_kb_s

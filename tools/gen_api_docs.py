@@ -30,42 +30,22 @@ Each section lists a module's public names with the first line of
 their docstrings.  See the source for full documentation; every public
 item carries a docstring.
 
-## Run-surface migration (old → new)
+## Run surface
 
 `repro.api.run(config)` is the single run surface: it dispatches on
 config type — `ExperimentConfig` → experiment, `FarmConfig` → farm,
-`FederationConfig` → federation — and is the campaign engine's default
-runner.  The historical entry points keep their signatures as shims
-that route through it and emit one `DeprecationWarning` per process:
+`FederationConfig` → federation (see docs/FEDERATION.md) — and is the
+campaign engine's default runner.  `obs=tracer` traces the run (member
+0 of a farm or federation); `tracer_factory=f` traces every member.
 
-| Old call | `repro.api` equivalent |
-| --- | --- |
-| `run_experiment(config)` | `run(config)` |
-| `run_experiment(config, obs=t)` | `run(config, obs=t)` |
-| `run_farm(base, n, q)` | `run(FarmConfig(base, n, q)).report` |
-| `run_farm(base, n, q, tracer_factory=f)` | `run(FarmConfig(base, n, q), tracer_factory=f).report` |
-| — (new) | `run(FederationConfig(...))` — see docs/FEDERATION.md |
-
-## Campaign migration (old → new)
-
-`repro.campaign.Campaign.submit(configs) -> CampaignResult` is the
-single experiment-execution surface: it deduplicates configs, serves
-finished points from a content-addressed on-disk cache, fans the rest
-out over worker processes, and isolates per-point failures as error
-records.  The historical helpers remain as thin shims with their old
-signatures (a bare call still runs serially and uncached) and gained a
-`campaign=` keyword:
-
-| Old call | Campaign-era equivalent |
-| --- | --- |
-| `run_experiment(config)` | `Campaign().submit([config]).require(config)` |
-| `queue_sweep(base, qs)` | `queue_sweep(base, qs, campaign=c)` or `c.submit(queue_sweep_configs(base, qs))` |
-| `interarrival_sweep(base, ias)` | `interarrival_sweep(base, ias, campaign=c)` |
-| `curve_family(bases, qs)` | `curve_family(bases, qs, campaign=c)` — one submission for the whole family |
-| `replicate(config, n)` | `replicate(config, n, campaign=c)`; seeds via `Campaign.derive_variants(config, n)` |
-| `FIGURES[fid](...)` | `FIGURES[fid](..., campaign=c)` — one submission per figure |
-| `cost_performance_curve(...)` | `cost_performance_curve(..., campaign=c)` |
-| manual result JSON files | `ResultCache(dir)` keyed by `config_digest(config)` |
+`repro.campaign.Campaign.submit(configs) -> CampaignResult` runs a
+batch: it deduplicates configs, serves finished points from a
+content-addressed on-disk cache (`ResultCache`, keyed by
+`config_digest(config)`), fans the rest out over worker processes, and
+isolates per-point failures as error records.  `queue_sweep`,
+`curve_family`, `replicate`, every `FIGURES` entry and
+`cost_performance_curve` make one submission each and take
+`campaign=c` to run it in parallel and/or cached.
 
 CLI: `tape-jukebox sweep|figure|run|federate` share `--jobs N`,
 `--cache-dir`, `--no-cache`, and `--progress` (env default:
