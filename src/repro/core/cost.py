@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..tape.timing import DriveTimingModel
 
@@ -122,6 +122,64 @@ def _sweep(
     return locate_s, read_s, head
 
 
+def transition_row(
+    constants: ExtensionConstants,
+    head_mb: float,
+    startup_pending: bool,
+    positions: Sequence[float],
+) -> List[float]:
+    """Locate-and-read seconds from ``head_mb`` to each of ``positions``.
+
+    One float per position: the locate there plus one block read.  The
+    call-free kernel behind the exact planner's transition matrix:
+    each float equals ``_BatchCost.step(head_mb, startup_pending,
+    position)[0]`` in :mod:`repro.core.exact` bit for bit, because it
+    evaluates the same expressions in the same order — a forward locate
+    plus the startup read, a reverse locate (plus the beginning-of-tape
+    overhead when it lands on 0) plus the plain read, or a zero-distance
+    ``0.0`` plus the read the startup state selects; ``distance <= short
+    threshold`` is the timing model's segment rule.  ``constants`` come
+    from :func:`extension_constants`; models without them keep the
+    method-call loop, the same split :func:`_sweep` makes.
+    """
+    threshold = constants.short_threshold_mb
+    forward_short_startup = constants.forward_short_startup
+    forward_short_rate = constants.forward_short_rate
+    forward_long_startup = constants.forward_long_startup
+    forward_long_rate = constants.forward_long_rate
+    reverse_short_startup = constants.reverse_short_startup
+    reverse_short_rate = constants.reverse_short_rate
+    reverse_long_startup = constants.reverse_long_startup
+    reverse_long_rate = constants.reverse_long_rate
+    bot_overhead_s = constants.bot_overhead_s
+    read_plain_s = constants.read_plain_s
+    read_startup_s = constants.read_startup_s
+    in_place_s = 0.0 + (read_startup_s if startup_pending else read_plain_s)
+    row = []
+    for position in positions:
+        if position > head_mb:
+            distance = position - head_mb
+            seconds = (
+                forward_short_startup + forward_short_rate * distance
+                if distance <= threshold
+                else forward_long_startup + forward_long_rate * distance
+            ) + read_startup_s
+        elif position < head_mb:
+            distance = head_mb - position
+            seconds = (
+                reverse_short_startup + reverse_short_rate * distance
+                if distance <= threshold
+                else reverse_long_startup + reverse_long_rate * distance
+            )
+            if position == 0:
+                seconds += bot_overhead_s
+            seconds += read_plain_s
+        else:
+            seconds = in_place_s
+        row.append(seconds)
+    return row
+
+
 def sweep_cost(
     timing: DriveTimingModel,
     head_mb: float,
@@ -201,14 +259,15 @@ class ExtensionConstants:
     """Flattened timing constants for call-free cost loops.
 
     The envelope scheduler's step-3 search evaluates an incremental
-    bandwidth for *every* candidate prefix length on every tape, and
+    bandwidth for *every* candidate prefix length on every tape,
     every max-bandwidth decision costs a full sweep on every candidate
-    tape; going through the model's methods (or
+    tape, and every exact-batch plan costs a full transition matrix;
+    going through the model's methods (or
     :class:`ExtensionCostTracker`) costs a method call plus memo-dict
     lookups per block.  For the plain piecewise-linear
     :class:`~repro.tape.timing.DriveTimingModel` those calls reduce to
     straight-line arithmetic over a handful of constants.  This bundle
-    hoists them once so both loops can run call-free.
+    hoists them once so all three loops can run call-free.
 
     Every float here is produced by the timing model's own methods, and
     the consumer applies them with the exact expressions the tracker's

@@ -35,7 +35,15 @@ per decision minimizes the decision's total response-time contribution.
 
 All transition arithmetic mirrors :class:`repro.tape.drive.TapeDrive`
 exactly (same rules as :func:`repro.core.cost.sweep_cost`), so planned
-costs equal what the simulated hardware will do.
+costs equal what the simulated hardware will do.  A batch's transitions
+are built once, as a root vector and a step matrix whose rows come from
+:func:`repro.core.cost.transition_row`: for a plain
+:class:`~repro.tape.timing.DriveTimingModel` that kernel runs call-free
+on the flattened timing constants with the same float expressions as
+the model's methods, and a model subclass keeps the method-call loop.
+The search then runs on those lists alone — rows passed down as
+arguments, precomputed mask bits, integer memo keys — and unwinds with
+an exception when its node budget runs out.
 """
 
 from __future__ import annotations
@@ -46,6 +54,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from ..tape.timing import DriveTimingModel
 from ..workload.requests import Request
 from .base import MajorDecision, Scheduler, SchedulerContext, coalesce_entries
+from .cost import extension_constants, transition_row
 from .policies import jukebox_order
 from .sweep import ServiceEntry, SweepPhase
 
@@ -64,6 +73,11 @@ DEFAULT_NODE_BUDGET = 50_000
 _BOUND_SLACK = 1e-9
 
 
+class _BudgetExhausted(Exception):
+    """Unwinds the exact search the moment it visits one node past its
+    budget; :func:`optimal_order` catches it at the root."""
+
+
 class _BatchCost:
     """Drive-exact transition arithmetic for one (timing, block size)."""
 
@@ -71,6 +85,7 @@ class _BatchCost:
         "block_mb",
         "read_plain_s",
         "read_startup_s",
+        "constants",
         "_locate_forward",
         "_locate_reverse",
     )
@@ -79,6 +94,9 @@ class _BatchCost:
         self.block_mb = float(block_mb)
         self.read_plain_s = timing.read(block_mb, startup=False)
         self.read_startup_s = timing.read(block_mb, startup=True)
+        #: Flattened timing constants, or ``None`` for a model subclass,
+        #: whose rows keep the :meth:`step` loop.
+        self.constants = extension_constants(timing, block_mb)
         self._locate_forward = timing.locate_forward
         self._locate_reverse = timing.locate_reverse
 
@@ -104,6 +122,18 @@ class _BatchCost:
             seconds = 0.0
         seconds += self.read_startup_s if startup_pending else self.read_plain_s
         return seconds, position_mb + self.block_mb, False
+
+    def row(
+        self, head_mb: float, startup_pending: bool, positions: Sequence[float]
+    ) -> List[float]:
+        """``step(head_mb, startup_pending, p)[0]`` for each of
+        ``positions``, call-free through :func:`transition_row` when the
+        model has flattened constants."""
+        constants = self.constants
+        if constants is None:
+            step = self.step
+            return [step(head_mb, startup_pending, p)[0] for p in positions]
+        return transition_row(constants, head_mb, startup_pending, positions)
 
 
 def _entry_weight(entry: ServiceEntry) -> float:
@@ -185,9 +215,12 @@ class _Transitions:
     The drive state after reading block ``i`` is fully determined (head
     just past ``i``, startup cleared), so every transition cost is
     precomputable: one ``count``-vector for the root state and one
-    ``count x count`` matrix between reads, plus per-predecessor child
-    orders (cheapest time-per-weight first).  Orders are index lists
-    into ``items`` (the entries sorted by position, then block id).
+    ``count x count`` matrix between reads, each row built by
+    :meth:`_BatchCost.row` (call-free on the flattened timing
+    constants), plus per-predecessor child orders (cheapest
+    time-per-weight first, ties by position, then by index).  Orders
+    are index lists into ``items`` (the entries sorted by position,
+    then block id).
     """
 
     __slots__ = (
@@ -207,31 +240,28 @@ class _Transitions:
         startup_pending: bool,
     ) -> None:
         items = sorted(entries, key=lambda entry: (entry.position_mb, entry.block_id))
-        count = len(items)
         weights = [_entry_weight(entry) for entry in items]
         positions = [entry.position_mb for entry in items]
+        divisors = [max(weight, 1.0) for weight in weights]
+        indices = range(len(items))
 
-        def ranked(costs: Sequence[float]) -> List[int]:
-            return sorted(
-                range(count),
-                key=lambda j: (costs[j] / max(weights[j], 1.0), positions[j]),
-            )
+        def ranked(costs: List[float]) -> List[int]:
+            keys = [
+                (cost / divisor, position)
+                for cost, divisor, position in zip(costs, divisors, positions)
+            ]
+            return sorted(indices, key=keys.__getitem__)
 
+        row = model.row
+        block_mb = model.block_mb
         self.items = items
         self.weights = weights
-        self.root_cost = [
-            model.step(float(head_mb), startup_pending, position)[0]
-            for position in positions
-        ]
+        self.root_cost = row(float(head_mb), startup_pending, positions)
         self.step_cost = [
-            [
-                model.step(position + model.block_mb, False, target)[0]
-                for target in positions
-            ]
-            for position in positions
+            row(position + block_mb, False, positions) for position in positions
         ]
         self.root_rank = ranked(self.root_cost)
-        self.step_rank = [ranked(row) for row in self.step_cost]
+        self.step_rank = [ranked(costs) for costs in self.step_cost]
 
     def order_cost(self, order: Sequence[int], deferred_weight: float) -> float:
         """The objective ``J`` of ``order``; same arithmetic as
@@ -327,7 +357,10 @@ def optimal_order(
     a read-time lower bound.  The incumbent is seeded with both
     single-pass orders and the greedy policy, so even when
     ``node_budget`` exhausts the search the returned order is at least
-    as good as every approximation policy in this module.
+    as good as every approximation policy in this module.  The search
+    visits children cheapest time-per-request first and stops at the
+    first node past the budget (``nodes == node_budget + 1``, ``exact``
+    False).
     """
     model = _BatchCost(timing, block_mb)
     transitions = _Transitions(model, head_mb, entries, startup_pending)
@@ -354,47 +387,44 @@ def optimal_order(
             best_cost = cost
             best_order = seed
 
-    root_cost = transitions.root_cost
     step_cost = transitions.step_cost
-    root_rank = transitions.root_rank
     step_rank = transitions.step_rank
+    bits = [1 << index for index in range(count)]
     memo = {}
     read_plain = model.read_plain_s
     path: List[int] = []
     nodes = 0
-    exhausted = False
 
     def search(
         mask: int,
-        last: int,
+        costs: List[float],
+        ranked: List[int],
         accrued: float,
         pending_weight: float,
         remaining: int,
     ) -> None:
-        nonlocal best_cost, best_order, nodes, exhausted
-        costs = root_cost if last < 0 else step_cost[last]
-        ranked = root_rank if last < 0 else step_rank[last]
+        nonlocal best_cost, best_order, nodes
+        child_remaining = remaining - 1
+        deferred_tail = delta * child_remaining
         for index in ranked:
-            if (mask >> index) & 1:
+            bit = bits[index]
+            if mask & bit:
                 continue
-            if exhausted:
-                return
             nodes += 1
             if nodes > node_budget:
-                exhausted = True
-                return
+                raise _BudgetExhausted
             child_accrued = accrued + costs[index] * pending_weight
             child_pending = pending_weight - weights[index]
-            child_remaining = remaining - 1
             # Every remaining block still needs at least one plain read,
             # during which its own weight and the deferred weight are
             # still waiting: a sound, cheap lower bound on the rest.
             bound = child_accrued + read_plain * (
-                (child_pending - delta) + delta * child_remaining
+                (child_pending - delta) + deferred_tail
             )
             if bound >= best_cost:
                 continue
-            key = (mask | (1 << index), index)
+            child_mask = mask | bit
+            key = child_mask * count + index
             seen = memo.get(key)
             if seen is not None and child_accrued >= seen:
                 continue
@@ -405,19 +435,31 @@ def optimal_order(
                 best_order = list(path)
             else:
                 search(
-                    mask | (1 << index),
-                    index,
+                    child_mask,
+                    step_cost[index],
+                    step_rank[index],
                     child_accrued,
                     child_pending,
                     child_remaining,
                 )
             path.pop()
 
-    search(0, -1, 0.0, total_weight, count)
+    exact = True
+    try:
+        search(
+            0,
+            transitions.root_cost,
+            transitions.root_rank,
+            0.0,
+            total_weight,
+            count,
+        )
+    except _BudgetExhausted:
+        exact = False
     return BatchPlan(
         order=tuple(items[i] for i in best_order),
         cost_s=best_cost,
-        exact=not exhausted,
+        exact=exact,
         nodes=nodes,
     )
 
@@ -442,7 +484,7 @@ def _tape_lower_bound(
     """
     charged = served + deferred_weight
     first_read = min(
-        model.step(float(head_mb), True, entry.position_mb)[0] for entry in entries
+        model.row(float(head_mb), True, [entry.position_mb for entry in entries])
     )
     later_waiting = sum(deferred_weight + m for m in range(1, len(entries)))
     return (

@@ -15,7 +15,8 @@ from repro.core import (
     schedule_time,
     sweep_cost,
 )
-from repro.core.cost import MB, extension_constants
+from repro.core.cost import MB, extension_constants, transition_row
+from repro.core.exact import _BatchCost
 from repro.tape import EXB_8505XL, DriveTimingModel, Jukebox
 from repro.workload import RequestFactory
 
@@ -296,6 +297,50 @@ class TestKernelTwin:
         assert flat.locate_s == slow.locate_s
         assert flat.read_s == slow.read_s
         assert flat.end_head_mb == slow.end_head_mb
+
+    @settings(max_examples=300, deadline=None)
+    @given(sweep=_sweeps())
+    def test_transition_row_matches_batch_step(self, sweep):
+        """Every row the exact planner builds equals the ``step`` loop bit
+        for bit: the root row from the drawn head and startup state, and
+        the between-reads row from the end of each block (startup
+        cleared), where threshold-distance targets land too."""
+        timing, block_mb, head_mb, positions, startup_pending = sweep
+        model = _BatchCost(timing, block_mb)
+        constants = extension_constants(timing, block_mb)
+        states = [(head_mb, startup_pending)] + [
+            (position + block_mb, False) for position in positions
+        ]
+        for head, startup in states:
+            expected = [model.step(head, startup, p)[0].hex() for p in positions]
+            for row in (
+                transition_row(constants, head, startup, positions),
+                model.row(head, startup, positions),
+            ):
+                assert [seconds.hex() for seconds in row] == expected
+
+    def test_transition_row_for_subclass_takes_the_step_loop(self):
+        """A model subclass may override the locate arithmetic, so its rows
+        go through ``step`` and the overriding methods."""
+
+        class CountingTiming(DriveTimingModel):
+            distances = []
+
+            def locate_forward(self, distance_mb):
+                self.distances.append(distance_mb)
+                return super().locate_forward(distance_mb)
+
+        positions = [0.0, 40.0, 100.0, 500.0]
+        for timing in _MODELS:
+            counting = CountingTiming(
+                **{f.name: getattr(timing, f.name) for f in dataclasses.fields(timing)}
+            )
+            model = _BatchCost(counting, BLOCK)
+            assert model.constants is None
+            CountingTiming.distances.clear()
+            row = model.row(100.0, True, positions)
+            assert CountingTiming.distances == [400.0]
+            assert row == _BatchCost(timing, BLOCK).row(100.0, True, positions)
 
     @settings(max_examples=200, deadline=None)
     @given(sweep=_sweeps(), mounted=st.booleans())

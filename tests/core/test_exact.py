@@ -9,8 +9,15 @@ permutations of the drive-exact objective, and every heuristic order
 The tape-level pruning of ``major_reschedule`` is checked against its
 twin, the every-tape loop, on generated pending sets: same tape, same
 order, bit-identical decision cost.
+
+The flattened search is checked against its twin too: a verbatim copy
+of the search it replaced (tuple memo keys, an ``exhausted`` flag, the
+method-call transition matrix) must return the same order, a
+bit-identical cost, and the same ``exact`` flag and node count on
+generated batches, budget exhaustion included.
 """
 
+import dataclasses
 import itertools
 import random
 
@@ -33,7 +40,13 @@ from repro.core import (
     sweep_order,
 )
 from repro.core.base import coalesce_entries
-from repro.core.exact import _BatchCost, _tape_lower_bound
+from repro.core.exact import (
+    _BatchCost,
+    _Transitions,
+    _entry_weight,
+    _split_passes,
+    _tape_lower_bound,
+)
 from repro.core.policies import jukebox_order
 from repro.core.sweep import ServiceEntry
 from repro.tape.timing import DriveTimingModel
@@ -593,3 +606,200 @@ class TestTapePruning:
             assert decision.tape_id == expected_tape, name
             assert signature(decision.entries) == signature(expected_order), name
             assert scheduler.last_decision_cost == expected_cost, name
+
+
+class _FrozenTransitions(_Transitions):
+    """``_Transitions`` as it was built before the row kernel: every cost
+    through :meth:`_BatchCost.step`, every rank through a lambda key."""
+
+    def __init__(self, model, head_mb, entries, startup_pending):
+        items = sorted(entries, key=lambda entry: (entry.position_mb, entry.block_id))
+        count = len(items)
+        weights = [_entry_weight(entry) for entry in items]
+        positions = [entry.position_mb for entry in items]
+
+        def ranked(costs):
+            return sorted(
+                range(count),
+                key=lambda j: (costs[j] / max(weights[j], 1.0), positions[j]),
+            )
+
+        self.items = items
+        self.weights = weights
+        self.root_cost = [
+            model.step(float(head_mb), startup_pending, position)[0]
+            for position in positions
+        ]
+        self.step_cost = [
+            [
+                model.step(position + model.block_mb, False, target)[0]
+                for target in positions
+            ]
+            for position in positions
+        ]
+        self.root_rank = ranked(self.root_cost)
+        self.step_rank = [ranked(row) for row in self.step_cost]
+
+
+def frozen_optimal_order(
+    timing,
+    head_mb,
+    entries,
+    block_mb,
+    deferred_weight=0.0,
+    node_budget=DEFAULT_NODE_BUDGET,
+    startup_pending=True,
+):
+    """:func:`optimal_order` as written before the search was flattened
+    (tuple memo keys, an ``exhausted`` flag checked per child), on the
+    method-call transition matrix."""
+    model = _BatchCost(timing, block_mb)
+    transitions = _FrozenTransitions(model, head_mb, entries, startup_pending)
+    items = transitions.items
+    count = len(items)
+    delta = float(deferred_weight)
+    if count <= 1:
+        # Nothing to sequence: the only order is optimal without a search.
+        return BatchPlan(
+            order=tuple(items),
+            cost_s=transitions.order_cost(range(count), delta),
+            exact=True,
+            nodes=0,
+        )
+    weights = transitions.weights
+    total_weight = sum(weights) + delta
+
+    forward, reverse = _split_passes(items, head_mb)
+    best_order = []
+    best_cost = float("inf")
+    for seed in (forward + reverse, reverse + forward, transitions.greedy_order()):
+        cost = transitions.order_cost(seed, delta)
+        if cost < best_cost:
+            best_cost = cost
+            best_order = seed
+
+    root_cost = transitions.root_cost
+    step_cost = transitions.step_cost
+    root_rank = transitions.root_rank
+    step_rank = transitions.step_rank
+    memo = {}
+    read_plain = model.read_plain_s
+    path = []
+    nodes = 0
+    exhausted = False
+
+    def search(mask, last, accrued, pending_weight, remaining):
+        nonlocal best_cost, best_order, nodes, exhausted
+        costs = root_cost if last < 0 else step_cost[last]
+        ranked = root_rank if last < 0 else step_rank[last]
+        for index in ranked:
+            if (mask >> index) & 1:
+                continue
+            if exhausted:
+                return
+            nodes += 1
+            if nodes > node_budget:
+                exhausted = True
+                return
+            child_accrued = accrued + costs[index] * pending_weight
+            child_pending = pending_weight - weights[index]
+            child_remaining = remaining - 1
+            bound = child_accrued + read_plain * (
+                (child_pending - delta) + delta * child_remaining
+            )
+            if bound >= best_cost:
+                continue
+            key = (mask | (1 << index), index)
+            seen = memo.get(key)
+            if seen is not None and child_accrued >= seen:
+                continue
+            memo[key] = child_accrued
+            path.append(index)
+            if child_remaining == 0:
+                best_cost = child_accrued
+                best_order = list(path)
+            else:
+                search(
+                    mask | (1 << index),
+                    index,
+                    child_accrued,
+                    child_pending,
+                    child_remaining,
+                )
+            path.pop()
+
+    search(0, -1, 0.0, total_weight, count)
+    return BatchPlan(
+        order=tuple(items[i] for i in best_order),
+        cost_s=best_cost,
+        exact=not exhausted,
+        nodes=nodes,
+    )
+
+
+#: Forward and reverse locates cost the same and reads pay no startup,
+#: so grid blocks equidistant from the head tie on time-per-request and
+#: the rankings fall back to their position and index tie-breaks.
+SYMMETRIC_TIMING = dataclasses.replace(
+    TIMING,
+    reverse_short=TIMING.forward_short,
+    reverse_long=TIMING.forward_long,
+    bot_overhead_s=0.0,
+    read_startup_after_forward_s=0.0,
+)
+
+
+@st.composite
+def batches(draw):
+    """A batch of 0-13 blocks on a plain, scaled or symmetric model:
+    positions on the block grid, anywhere, at BOT or at the head (so
+    positions repeat), weights from a small set (so they repeat, zero
+    included), a deferred weight in multiples of 1/3 (the defer scale of
+    three drives), either startup state and a node budget from 1 to the
+    default."""
+    timing = draw(st.sampled_from([TIMING, TIMING.scaled(2.0), SYMMETRIC_TIMING]))
+    head = draw(
+        st.one_of(
+            st.just(0.0),
+            st.integers(0, 300).map(lambda slot: slot * BLOCK_MB),
+            st.floats(0.0, 6000.0),
+        )
+    )
+    position = st.one_of(
+        st.just(0.0),
+        st.just(head),
+        st.integers(0, 300).map(lambda slot: slot * BLOCK_MB),
+        st.floats(0.0, 6000.0),
+    )
+    count = draw(st.integers(0, 13))
+    spec = draw(
+        st.lists(
+            st.tuples(position, st.sampled_from([0, 1, 1, 2, 3])),
+            min_size=count,
+            max_size=count,
+        )
+    )
+    deferred = draw(st.integers(0, 90)) * (1.0 / 3.0)
+    startup = draw(st.booleans())
+    budget = draw(st.sampled_from([1, 37, 200, DEFAULT_NODE_BUDGET]))
+    return timing, head, make_entries(spec), deferred, startup, budget
+
+
+class TestFlattenedSearch:
+    @settings(max_examples=150, deadline=None)
+    @given(batch=batches())
+    def test_matches_frozen_reference(self, batch):
+        """Same order, bit-identical cost, same ``exact`` and node count
+        as the search it replaced, budget exhaustion included."""
+        timing, head, entries, deferred, startup, budget = batch
+        kwargs = dict(
+            deferred_weight=deferred, node_budget=budget, startup_pending=startup
+        )
+        plan = optimal_order(timing, head, entries, BLOCK_MB, **kwargs)
+        frozen = frozen_optimal_order(timing, head, entries, BLOCK_MB, **kwargs)
+        assert [id(entry) for entry in plan.order] == [
+            id(entry) for entry in frozen.order
+        ]
+        assert plan.cost_s.hex() == frozen.cost_s.hex()
+        assert plan.exact == frozen.exact
+        assert plan.nodes == frozen.nodes

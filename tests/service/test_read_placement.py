@@ -14,6 +14,10 @@ request whose trace is still open at the horizon must be held somewhere
 the simulator can still serve it from (the pending list, a drive's
 unread sweep, or the read in flight), and nothing held there may have
 terminated already.  A request missing from all of them was dropped.
+
+The third property is the traced-vs-untraced twin over the same
+configs: attaching a :class:`~repro.obs.Tracer` must not change a
+single reported figure, so both runs share one report digest.
 """
 
 from hypothesis import example, given, settings, strategies as st
@@ -26,6 +30,7 @@ from repro.faults import FaultConfig, RetryPolicy
 from repro.layout import Layout, PlacementSpec, build_catalog
 from repro.obs import Tracer
 from repro.qos import QoSConfig
+from repro.service.metrics import report_digest
 
 SCHEDULERS = sorted(scheduler_names())
 MULTI_DRIVE_SCHEDULERS = [name for name in SCHEDULERS if "envelope" not in name]
@@ -187,3 +192,38 @@ def test_every_arrival_terminates_exactly_once(config):
     simulator.run(config.horizon_s)
     open_ids = sorted(trace.request_id for trace in tracer.open_traces())
     assert held_request_ids(simulator) == open_ids
+
+
+@settings(max_examples=30, deadline=None)
+@given(configs())
+# The exact planner on one drive, under faults and QoS.
+@example(
+    ExperimentConfig(
+        scheduler="exact-batch",
+        tape_count=6,
+        capacity_mb=2000.0,
+        queue_length=20,
+        faults=FaultConfig(media_error_rate=0.05, robot_pick_error_rate=0.3, seed=3),
+        qos=QoSConfig(deadline_s=3000.0, starvation_age_s=4000.0),
+        horizon_s=12_000.0,
+        seed=11,
+    )
+)
+# The exact planner on three drives with replicas and open arrivals.
+@example(
+    ExperimentConfig(
+        scheduler="exact-batch",
+        drive_count=3,
+        tape_count=6,
+        capacity_mb=2000.0,
+        replicas=2,
+        layout=Layout.VERTICAL,
+        queue_length=None,
+        mean_interarrival_s=60.0,
+        horizon_s=12_000.0,
+        seed=7,
+    )
+)
+def test_traced_run_matches_untraced(config):
+    traced = run(config, obs=Tracer())
+    assert report_digest(traced.report) == report_digest(run(config).report)
