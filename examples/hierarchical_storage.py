@@ -20,12 +20,9 @@ import random
 import sys
 
 from repro.core import make_scheduler
-from repro.des import Environment
 from repro.hierarchy import HierarchySimulator
-from repro.hierarchy.simulator import _TapeOnlySource
 from repro.layout import PlacementSpec, build_catalog
 from repro.report import format_table
-from repro.service import JukeboxSimulator, MetricsCollector
 from repro.tape import Jukebox
 from repro.workload import HotColdSkew
 
@@ -37,16 +34,10 @@ def build_hierarchy(memory_blocks: int, disk_blocks: int) -> HierarchySimulator:
     catalog = build_catalog(
         PlacementSpec(percent_hot=10, block_mb=BLOCK_MB), 10, 7 * 1024.0
     )
-    tape = JukeboxSimulator(
-        env=Environment(),
+    return HierarchySimulator(
         jukebox=Jukebox.build(),
         catalog=catalog,
         scheduler=make_scheduler("dynamic-max-bandwidth"),
-        source=_TapeOnlySource(),
-        metrics=MetricsCollector(block_mb=BLOCK_MB),
-    )
-    return HierarchySimulator(
-        jukebox_simulator=tape,
         memory_blocks=memory_blocks,
         disk_blocks=disk_blocks,
         skew=HotColdSkew(CLIENT_RH),

@@ -195,6 +195,14 @@ def _interrupted_exit(campaign) -> int:
     return 130
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type: an integer that is at least zero."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scheduler", default="dynamic-max-bandwidth")
     parser.add_argument("--layout", choices=("horizontal", "vertical"), default="horizontal")
@@ -298,7 +306,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_run_arguments(run_parser)
     run_parser.add_argument(
         "--trace",
-        type=int,
+        type=_non_negative_int,
         default=0,
         metavar="N",
         help="print the first N drive operations after the run",
@@ -943,19 +951,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     config = _config_from_args(args)
-    if args.trace > 0:
-        from .experiments.runner import build_simulator
-        from .service.oplog import OperationLog
+    if args.trace:
+        from .obs import Tracer
+        from .report.text import format_drive_spans
 
-        simulator = build_simulator(config)
-        if not hasattr(simulator, "oplog"):
-            raise SystemExit("--trace is only supported for single-drive runs")
-        log = OperationLog(capacity=args.trace)
-        simulator.oplog = log
-        report = simulator.run(config.horizon_s)
-        print(config.describe())
-        print(report)
-        print(log.format(limit=args.trace))
+        tracer = Tracer(max_drive_spans=args.trace)
+        result = run(config, obs=tracer)
+        print(result.config.describe())
+        print(result.report)
+        print(format_drive_spans(tracer.drive_spans, tracer.dropped_drive_spans))
         return 0
 
     if args.profile:

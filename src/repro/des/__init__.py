@@ -3,7 +3,8 @@
 The paper's evaluation rests on a discrete-event simulator.  This package
 provides the kernel: an :class:`Environment` with a deterministic event
 heap, generator-coroutine :class:`Process` objects, composable events, a
-blocking :class:`Store`, and time-series :class:`Monitor` probes.
+blocking :class:`Store`, and a :class:`UtilizationTimeline` of busy
+intervals.
 """
 
 from .environment import EmptySchedule, Environment
@@ -17,7 +18,7 @@ from .events import (
     PRIORITY_URGENT,
     Timeout,
 )
-from .monitor import Monitor, UtilizationTimeline
+from .monitor import UtilizationTimeline
 from .process import Process
 from .queues import Resource, Store
 
@@ -29,7 +30,6 @@ __all__ = [
     "Event",
     "EventAlreadyTriggered",
     "Interrupt",
-    "Monitor",
     "PRIORITY_NORMAL",
     "PRIORITY_URGENT",
     "Process",

@@ -1,41 +1,8 @@
-"""Time-series probes for recording values during a simulation."""
+"""Per-track busy intervals recorded during a simulation."""
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .environment import Environment
-
-
-class Monitor:
-    """Records ``(time, value)`` samples; cheap append-only."""
-
-    def __init__(self, env: "Environment", name: str = "") -> None:
-        self.env = env
-        self.name = name
-        self.samples: List[Tuple[float, float]] = []
-
-    def record(self, value: float) -> None:
-        """Append ``(env.now, value)``."""
-        self.samples.append((self.env.now, float(value)))
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    def values(self) -> List[float]:
-        """All recorded values, in time order."""
-        return [value for _time, value in self.samples]
-
-    def times(self) -> List[float]:
-        """All sample timestamps, in order."""
-        return [time for time, _value in self.samples]
-
-    def mean(self) -> float:
-        """Arithmetic mean of recorded values (0.0 if empty)."""
-        if not self.samples:
-            return 0.0
-        return sum(value for _t, value in self.samples) / len(self.samples)
+from typing import Dict, List, Tuple
 
 
 class UtilizationTimeline:

@@ -7,18 +7,24 @@ into the disk cache, and disk hits are promoted into memory, so the
 hierarchy shapes its own miss stream: sustained hot traffic is absorbed
 above the jukebox, flattening the skew (RH) the tape tier observes —
 exactly the operating regime the paper's jukebox study assumes.
+
+The hierarchy builds its own tape tier, a :class:`JukeboxSimulator`
+fed only by tape misses, and hears of each tape read through the tier's
+metrics collector, the one recorder every run has.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional
 
+from ..core.base import Scheduler
 from ..des import Environment
 from ..layout.catalog import BlockCatalog
+from ..service.metrics import MetricsCollector
 from ..service.simulator import JukeboxSimulator
 from ..stats import RunningStats
+from ..tape.jukebox import Jukebox
 from ..workload.requests import Request, RequestFactory
 from ..workload.skew import HotColdSkew
 from .cache import LRUCache
@@ -38,6 +44,21 @@ class _TapeOnlySource:
 
     def arrivals(self, horizon_s: float, start_s: float = 0.0):
         return iter(())
+
+
+class _TapeTierMetrics(MetricsCollector):
+    """The tape tier's metrics; each completion also finishes the
+    hierarchy's client requests waiting on that block."""
+
+    def __init__(self, block_mb: float, promote) -> None:
+        super().__init__(block_mb=block_mb)
+        self._promote = promote
+
+    def on_completion(
+        self, request: Request, now: float, service_s: float = None
+    ) -> None:
+        super().on_completion(request, now, service_s=service_s)
+        self._promote(request, now)
 
 
 @dataclass
@@ -66,7 +87,9 @@ class HierarchySimulator:
 
     def __init__(
         self,
-        jukebox_simulator: JukeboxSimulator,
+        jukebox: Jukebox,
+        catalog: BlockCatalog,
+        scheduler: Scheduler,
         memory_blocks: int,
         disk_blocks: int,
         skew: HotColdSkew,
@@ -79,9 +102,17 @@ class HierarchySimulator:
             raise ValueError(
                 f"mean_interarrival_s must be positive, got {mean_interarrival_s!r}"
             )
-        self.tape = jukebox_simulator
-        self.env: Environment = jukebox_simulator.env
-        self.catalog: BlockCatalog = jukebox_simulator.catalog
+        self.env = Environment()
+        self.catalog = catalog
+        #: The tape tier: sees only the misses the caches forward.
+        self.tape = JukeboxSimulator(
+            env=self.env,
+            jukebox=jukebox,
+            catalog=catalog,
+            scheduler=scheduler,
+            source=_TapeOnlySource(),
+            metrics=_TapeTierMetrics(catalog.block_mb, self._tape_completed),
+        )
         self.memory_cache = LRUCache(memory_blocks)
         self.disk_cache = LRUCache(disk_blocks)
         self.skew = skew
@@ -94,7 +125,6 @@ class HierarchySimulator:
         #: Blocks with a tape read in flight; coalesces concurrent misses.
         self._in_flight: dict = {}
         self.tape_request_blocks = RunningStats()  # hot=1 / cold=0 indicator
-        self.tape.on_request_complete = self._tape_completed
 
     # ------------------------------------------------------------------
     def run(self, horizon_s: float) -> TierStats:

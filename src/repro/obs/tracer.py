@@ -18,8 +18,8 @@ bit-identical to an untraced one (pinned by the golden-hash tests).
 
 Memory: request traces and the decision log are unbounded (a trace is a
 whole-run artifact); drive spans and events accept an optional capacity
-after which they are dropped and counted, mirroring
-:class:`~repro.service.oplog.OperationLog`.
+after which they are dropped and counted.  The drive spans are the
+run's operation timeline (``tape-jukebox run --trace N`` prints them).
 """
 
 from __future__ import annotations

@@ -198,3 +198,29 @@ def format_trace_summary(summary) -> str:
         )
 
     return "\n".join(blocks)
+
+
+def format_drive_spans(spans, dropped: int = 0) -> str:
+    """One line per drive span, then ``... K more`` for ``dropped`` spans.
+
+    ``spans`` are :class:`~repro.obs.spans.DriveSpan` records, e.g. a
+    capped ``Tracer.drive_spans`` with its ``dropped_drive_spans``.
+    """
+    lines = []
+    for span in spans:
+        where = ""
+        if span.tape_id is not None:
+            where = f" tape={span.tape_id}"
+        if span.position_mb is not None:
+            where += f" pos={span.position_mb:g}MB"
+        if span.block_id is not None:
+            where += f" block={span.block_id}"
+        if span.detail is not None:
+            where += f" [{span.detail}]"
+        lines.append(
+            f"{span.start_s:12.2f}s  drive {span.drive}  {span.kind:6s} "
+            f"{span.duration_s:9.2f}s{where}"
+        )
+    if dropped:
+        lines.append(f"... {dropped} more")
+    return "\n".join(lines)

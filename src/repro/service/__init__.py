@@ -2,7 +2,6 @@
 
 from .metrics import KB, MB, MetricsCollector, MetricsReport
 from .farm import FarmConfig, FarmReport, FarmResult
-from .oplog import OpKind, Operation, OperationLog
 from .rollup import ReportRollup, merge_reports, report_registry
 from .simulator import JukeboxSimulator
 from .writeback import DeltaBuffer, WritebackSimulator
@@ -20,8 +19,5 @@ __all__ = [
     "MB",
     "MetricsCollector",
     "MetricsReport",
-    "OpKind",
-    "Operation",
-    "OperationLog",
     "WritebackSimulator",
 ]

@@ -60,7 +60,6 @@ from ..tape.jukebox import Jukebox
 from ..workload.requests import Request
 from .metrics import MetricsCollector, MetricsReport
 from .multidrive import ClaimFilteredPending
-from .oplog import OpKind, Operation, OperationLog
 
 
 class JukeboxSimulator:
@@ -79,7 +78,6 @@ class JukeboxSimulator:
         scheduler: Union[Scheduler, Sequence[Scheduler]],
         source,
         metrics: MetricsCollector,
-        oplog: Optional[OperationLog] = None,
         faults: Optional[FaultInjector] = None,
         retry: Optional[RetryPolicy] = None,
         qos: Optional[QoSManager] = None,
@@ -102,9 +100,11 @@ class JukeboxSimulator:
             )
         self.env = env
         self.qos = qos
-        #: Optional structured tracer (see :mod:`repro.obs`).  Every
-        #: call site is guarded, so ``obs=None`` adds no work and runs
-        #: stay bit-identical to an untraced build.
+        #: Optional structured tracer (see :mod:`repro.obs`), the one
+        #: recorder besides ``metrics``; it also keeps the per-drive
+        #: operation timeline (``drive_spans``).  Every call site is
+        #: guarded, so ``obs=None`` adds no work and runs stay
+        #: bit-identical to an untraced build.
         self.obs = obs
         if obs is not None:
             obs.bind_clock(lambda: env.now)
@@ -171,31 +171,12 @@ class JukeboxSimulator:
         self._started = False
         #: Count of arrivals absorbed into an in-progress sweep.
         self.absorbed_arrivals = 0
-        #: Optional hook invoked as ``hook(request, now)`` after each
-        #: completion (used by the storage-hierarchy tier to promote
-        #: blocks into its caches and finish the user-visible request).
-        self.on_request_complete = None
-        #: Optional structured trace of drive operations.
-        self.oplog = oplog
 
     def _log(
-        self, kind: OpKind, drive: int, start_s: float, duration_s: float, **where
+        self, kind: str, drive: int, start_s: float, duration_s: float, **where
     ) -> None:
-        if self.oplog is not None:
-            self.oplog.append(
-                Operation(kind=kind, start_s=start_s, duration_s=duration_s, **where)
-            )
         if self.obs is not None:
-            self.obs.on_op(
-                drive,
-                kind.value,
-                start_s,
-                duration_s,
-                tape_id=where.get("tape_id"),
-                block_id=where.get("block_id"),
-                position_mb=where.get("position_mb"),
-                detail=where.get("detail"),
-            )
+            self.obs.on_op(drive, kind, start_s, duration_s, **where)
 
     # ------------------------------------------------------------------
     # Request intake
@@ -313,7 +294,7 @@ class JukeboxSimulator:
                     self._wakeups[drive] = self.env.event()
                     yield self._wakeups[drive]
                     idle_s = self.env.now - idle_start
-                    self._log(OpKind.IDLE, drive, idle_start, idle_s)
+                    self._log("idle", drive, idle_start, idle_s)
                 continue
             if self.faults is not None and self.faults.tape_failed(decision.tape_id):
                 # Backstop for schedulers that plan outside the masked
@@ -377,11 +358,10 @@ class JukeboxSimulator:
                             continue
                         entry.requests[:] = live
                 read_start = self.env.now
-                head_before = jukebox.head_mb if self.obs is not None else 0.0
                 duration = jukebox.access(entry.position_mb, block_mb)
                 yield self._timed(duration)
                 self._log(
-                    OpKind.READ,
+                    "read",
                     drive,
                     read_start,
                     duration,
@@ -397,9 +377,7 @@ class JukeboxSimulator:
                 if fault is None:
                     service.finish_in_flight()
                     self._deliver(
-                        entry,
-                        duration,
-                        locate_s=self._locate_of(jukebox, head_before, entry),
+                        entry, duration, locate_s=jukebox.drive.last_locate_s
                     )
                 else:
                     yield from self._recover_read(drive, entry, fault)
@@ -442,7 +420,7 @@ class JukeboxSimulator:
             wasted_start = self.env.now
             yield self._timed(jukebox.timing.robot_swap_s)
             self._log(
-                OpKind.FAULT,
+                "fault",
                 drive,
                 wasted_start,
                 jukebox.timing.robot_swap_s,
@@ -458,7 +436,7 @@ class JukeboxSimulator:
         duration = jukebox.switch_to(tape_id)
         yield self._timed(duration)
         self.metrics.on_tape_switch(self.env.now)
-        self._log(OpKind.SWITCH, drive, switch_start, duration, tape_id=tape_id)
+        self._log("switch", drive, switch_start, duration, tape_id=tape_id)
         return True
 
     def _staged_exchange(self, drive: int, tape_id: int):
@@ -494,7 +472,7 @@ class JukeboxSimulator:
             yield self._timed(jukebox.timing.robot_swap_s)
             self.robot.release()
             self._log(
-                OpKind.FAULT,
+                "fault",
                 drive,
                 wasted_start,
                 jukebox.timing.robot_swap_s,
@@ -520,7 +498,7 @@ class JukeboxSimulator:
         yield self._timed(load_s)
         self.metrics.on_tape_switch(self.env.now)
         self._log(
-            OpKind.SWITCH,
+            "switch",
             drive,
             switch_start,
             self.env.now - switch_start,
@@ -545,19 +523,6 @@ class JukeboxSimulator:
     # ------------------------------------------------------------------
     # Completion and fault recovery
     # ------------------------------------------------------------------
-    def _locate_of(
-        self, jukebox: Jukebox, head_before_mb: float, entry: ServiceEntry
-    ) -> float:
-        """Locate component of the access that just served ``entry``.
-
-        ``DriveTimingModel.locate`` is pure (and memoized), so this
-        recomputes the exact figure the drive charged without touching
-        any simulation state.  Only called when a tracer is attached.
-        """
-        if self.obs is None:
-            return 0.0
-        return jukebox.timing.locate(head_before_mb, entry.position_mb)
-
     def _deliver(
         self, entry: ServiceEntry, service_s: float, locate_s: float = 0.0
     ) -> None:
@@ -568,8 +533,6 @@ class JukeboxSimulator:
                 self.obs.on_complete(
                     request, self.env.now, locate_s, service_s - locate_s
                 )
-            if self.on_request_complete is not None:
-                self.on_request_complete(request, self.env.now)
             self._replenish()
 
     def _replenish(self) -> None:
@@ -595,7 +558,7 @@ class JukeboxSimulator:
         if backoff_s > 0:
             backoff_start = self.env.now
             yield backoff_s
-            self._log(OpKind.BACKOFF, drive, backoff_start, backoff_s, **where)
+            self._log("backoff", drive, backoff_start, backoff_s, **where)
 
     def _recover_read(self, drive: int, entry: ServiceEntry, fault):
         """Retry a faulted read in place; escalate to failover if futile."""
@@ -608,7 +571,7 @@ class JukeboxSimulator:
         while True:
             self._count_fault(fault.kind)
             self._log(
-                OpKind.FAULT,
+                "fault",
                 drive,
                 self.env.now,
                 0.0,
@@ -627,11 +590,10 @@ class JukeboxSimulator:
                 drive, attempts, tape_id=tape_id, block_id=entry.block_id
             )
             read_start = self.env.now
-            head_before = jukebox.head_mb if self.obs is not None else 0.0
             duration = jukebox.access(entry.position_mb, block_mb)
             yield self._timed(duration)
             self._log(
-                OpKind.READ,
+                "read",
                 drive,
                 read_start,
                 duration,
@@ -644,9 +606,7 @@ class JukeboxSimulator:
             fault = self.faults.read_fault(tape_id, entry.block_id)
             if fault is None:
                 self._deliver(
-                    entry,
-                    duration,
-                    locate_s=self._locate_of(jukebox, head_before, entry),
+                    entry, duration, locate_s=jukebox.drive.last_locate_s
                 )
                 return
         # Permanent fault, or the retry budget ran out: this copy is done.
@@ -729,5 +689,5 @@ class JukeboxSimulator:
             # Release the claim so surviving drives can mount this tape.
             del self.claims[mounted]
             self._wake_idle_drives()
-        self._log(OpKind.REPAIR, drive, failure_start, repair_s, detail="drive-failure")
+        self._log("repair", drive, failure_start, repair_s, detail="drive-failure")
         yield repair_s

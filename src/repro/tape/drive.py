@@ -51,6 +51,10 @@ class TapeDrive:
     #: True when the next read pays the forward-locate startup cost.
     read_startup_pending: bool = True
     counters: DriveCounters = field(default_factory=DriveCounters)
+    #: Duration of the latest locate, kept so a tracer can split an
+    #: access without asking the timing model again (a noisy model
+    #: would draw a fresh jitter).
+    last_locate_s: float = 0.0
 
     @property
     def is_loaded(self) -> bool:
@@ -84,6 +88,7 @@ class TapeDrive:
         # Zero-distance locate changes nothing: streaming continues
         # without repositioning, so no startup is re-incurred.
         self.head_mb = target_mb
+        self.last_locate_s = seconds
         self.counters.locate_s += seconds
         if seconds > 0:
             self.counters.locates += 1

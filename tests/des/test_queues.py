@@ -81,33 +81,3 @@ class TestStore:
         assert len(store) == 0
         store.put("direct-to-getter")
         assert len(store) == 0
-
-
-class TestMonitor:
-    def test_records_time_value_pairs(self, env):
-        from repro.des import Monitor
-
-        monitor = Monitor(env, name="queue")
-
-        def body(env):
-            monitor.record(1)
-            yield env.timeout(3.0)
-            monitor.record(2)
-            yield env.timeout(4.0)
-            monitor.record(5)
-
-        env.process(body(env))
-        env.run()
-        assert monitor.samples == [(0.0, 1.0), (3.0, 2.0), (7.0, 5.0)]
-        assert monitor.values() == [1.0, 2.0, 5.0]
-        assert monitor.times() == [0.0, 3.0, 7.0]
-        assert len(monitor) == 3
-
-    def test_mean(self, env):
-        from repro.des import Monitor
-
-        monitor = Monitor(env)
-        assert monitor.mean() == 0.0
-        monitor.record(2)
-        monitor.record(4)
-        assert monitor.mean() == 3.0

@@ -5,6 +5,8 @@ horizons; these tests assert structure — labels, series lengths, units
 — so a refactor that breaks a generator fails fast in the unit suite.
 """
 
+import re
+
 import pytest
 
 from repro.experiments.figures import (
@@ -115,9 +117,27 @@ class TestCliFlagsSmoke:
     def test_trace_flag(self, capsys):
         from repro.cli import main
 
-        assert main(["run", "--queue", "5", "--horizon", "4000", "--trace", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "switch" in out or "read" in out
+        argv = ["run", "--queue", "5", "--horizon", "4000"]
+        assert main(argv) == 0
+        untraced = capsys.readouterr().out.splitlines()
+        assert main(argv + ["--trace", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        # The report is the untraced run's, then exactly three span
+        # lines, then the count of spans past the cap.
+        assert lines[: len(untraced)] == untraced
+        spans, more = lines[len(untraced) : -1], lines[-1]
+        assert len(spans) == 3
+        span_line = re.compile(r" *\d+\.\d\ds  drive 0  (switch|read) ")
+        assert all(span_line.match(span) for span in spans)
+        assert re.fullmatch(r"\.\.\. [1-9]\d* more", more)
+
+    def test_negative_trace_is_rejected(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--queue", "5", "--horizon", "4000", "--trace", "-1"])
+        assert exit_info.value.code == 2
+        assert "--trace: must be >= 0" in capsys.readouterr().err
 
     def test_plot_flag(self, capsys):
         from repro.cli import main

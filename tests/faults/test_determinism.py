@@ -6,15 +6,16 @@ from repro.core import make_scheduler
 from repro.des import Environment
 from repro.faults import FaultConfig, FaultInjector
 from repro.layout import Layout, PlacementSpec, build_catalog
+from repro.obs import Tracer
 from repro.service import JukeboxSimulator, MetricsCollector
-from repro.service.oplog import OperationLog
 from repro.tape import EXB_8505XL, Jukebox, NoisyTimingModel, RobotArm, TapeDrive, TapePool
 
 HORIZON = 20_000.0
 
 
-def run_noisy_faulted(workload_seed, noise_seed, fault_seed):
-    """One run combining noisy timing with fault injection."""
+def run_noisy_faulted(workload_seed, noise_seed, fault_seed, traced=True):
+    """One run combining noisy timing with fault injection; returns the
+    report and the drive spans (``None`` when ``traced`` is false)."""
     spec = PlacementSpec(
         layout=Layout.VERTICAL, percent_hot=10, replicas=2, block_mb=16.0
     )
@@ -41,7 +42,7 @@ def run_noisy_faulted(workload_seed, noise_seed, fault_seed):
         ),
         catalog,
     )
-    log = OperationLog()
+    tracer = Tracer() if traced else None
     from repro.workload import ClosedSource, HotColdSkew
 
     simulator = JukeboxSimulator(
@@ -53,11 +54,11 @@ def run_noisy_faulted(workload_seed, noise_seed, fault_seed):
             12, HotColdSkew(80.0), catalog, random.Random(workload_seed)
         ),
         metrics=MetricsCollector(block_mb=16.0, warmup_s=0.0),
-        oplog=log,
         faults=faults,
+        obs=tracer,
     )
     report = simulator.run(HORIZON)
-    return report, list(log)
+    return report, tracer.drive_spans if traced else None
 
 
 class TestDeterministicSeeding:
@@ -68,6 +69,13 @@ class TestDeterministicSeeding:
         assert first_report == second_report
         # The run actually exercised the fault machinery.
         assert first_report.fault_counts
+
+    def test_tracer_leaves_noisy_run_unchanged(self):
+        """Splitting a traced access into locate and read must not draw
+        another jitter from the noisy timing model's stream."""
+        traced, _ = run_noisy_faulted(1, 2, 3)
+        untraced, _ = run_noisy_faulted(1, 2, 3, traced=False)
+        assert traced == untraced
 
     def test_fault_seed_changes_fault_pattern_only_at_source(self):
         _, base_log = run_noisy_faulted(1, 2, 3)

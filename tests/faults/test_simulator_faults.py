@@ -11,8 +11,8 @@ from repro.des import Environment
 from repro.experiments import ExperimentConfig
 from repro.faults import FaultConfig, FaultInjector, RetryPolicy
 from repro.layout import Layout, PlacementSpec, build_catalog
+from repro.obs import Tracer
 from repro.service import JukeboxSimulator, MetricsCollector
-from repro.service.oplog import OpKind, OperationLog
 from repro.tape import Jukebox
 from repro.workload import ClosedSource, HotColdSkew
 
@@ -30,7 +30,7 @@ def make_simulator(
     tape_count=4,
     queue_length=12,
     seed=1,
-    oplog=None,
+    obs=None,
 ):
     spec = PlacementSpec(
         percent_hot=10, replicas=replicas, block_mb=16.0,
@@ -49,29 +49,29 @@ def make_simulator(
             queue_length, HotColdSkew(80.0), catalog, random.Random(seed)
         ),
         metrics=MetricsCollector(block_mb=16.0, warmup_s=0.0),
-        oplog=oplog,
         faults=faults,
+        obs=obs,
     )
 
 
 class TestTransientRecovery:
     def test_media_errors_are_retried_and_absorbed(self):
-        log = OperationLog()
+        tracer = Tracer()
         report = make_simulator(
             FaultConfig(
                 media_error_rate=0.1,
                 retry=RetryPolicy(max_attempts=10, base_backoff_s=1.0),
             ),
-            oplog=log,
+            obs=tracer,
         ).run(HORIZON)
         assert report.retries > 0
         assert report.fault_counts["media-error"] > 0
         # A generous retry budget absorbs every transient fault.
         assert report.failed_requests == 0
         assert report.served_fraction == 1.0
-        kinds = {op.kind for op in log}
-        assert OpKind.FAULT in kinds
-        assert OpKind.BACKOFF in kinds
+        kinds = {span.kind for span in tracer.drive_spans}
+        assert "fault" in kinds
+        assert "backoff" in kinds
 
     def test_retries_cost_simulated_time(self):
         clean = make_simulator(None).run(HORIZON)
@@ -129,14 +129,14 @@ class TestReplicaFailover:
 
 class TestDriveFailures:
     def test_drive_failure_pauses_service_and_recovers(self):
-        log = OperationLog()
+        tracer = Tracer()
         report = make_simulator(
             FaultConfig(drive_mtbf_s=5_000.0, drive_mttr_s=500.0, seed=3),
-            oplog=log,
+            obs=tracer,
         ).run(HORIZON)
         assert report.drive_failures > 0
         assert report.mean_repair_s > 0
-        assert any(op.kind is OpKind.REPAIR for op in log)
+        assert any(span.kind == "repair" for span in tracer.drive_spans)
         # Service continues after repairs.
         assert report.completed > 0
 

@@ -4,6 +4,7 @@ Scripts run with deprecation warnings as errors, so an example that
 calls a deprecated API fails here.
 """
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -29,6 +30,20 @@ def test_every_example_is_covered():
     assert scripts == set(EXAMPLE_ARGS), (
         "add new examples to EXAMPLE_ARGS so they stay runnable"
     )
+
+
+@pytest.mark.parametrize("script", sorted(EXAMPLE_ARGS))
+def test_example_imports_only_public_names(script):
+    tree = ast.parse((EXAMPLES_DIR / script).read_text(encoding="utf-8"))
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").split(".")[0] == "repro"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private, f"{script} imports private names: {private}"
 
 
 @pytest.mark.parametrize("script", sorted(EXAMPLE_ARGS))

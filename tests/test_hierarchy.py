@@ -5,10 +5,8 @@ import random
 import pytest
 
 from repro.core import make_scheduler
-from repro.des import Environment
 from repro.hierarchy import DiskModel, HierarchySimulator, LRUCache, MemoryModel
 from repro.layout import PlacementSpec, build_catalog
-from repro.service import JukeboxSimulator, MetricsCollector
 from repro.tape import Jukebox
 from repro.workload import HotColdSkew
 
@@ -87,16 +85,10 @@ def make_hierarchy(memory_blocks=64, disk_blocks=600, interarrival=40.0, rh=80.0
     # PH-10) for the hierarchy to do its job — the paper's "warm data
     # are on magnetic disks" premise.
     catalog = build_catalog(PlacementSpec(percent_hot=10, block_mb=BLOCK), 10, 7 * 1024.0)
-    tape = JukeboxSimulator(
-        env=Environment(),
+    return HierarchySimulator(
         jukebox=Jukebox.build(),
         catalog=catalog,
         scheduler=make_scheduler("dynamic-max-bandwidth"),
-        source=__import__("repro.hierarchy.simulator", fromlist=["_TapeOnlySource"])._TapeOnlySource(),
-        metrics=MetricsCollector(block_mb=BLOCK),
-    )
-    return HierarchySimulator(
-        jukebox_simulator=tape,
         memory_blocks=memory_blocks,
         disk_blocks=disk_blocks,
         skew=HotColdSkew(rh),
@@ -106,6 +98,21 @@ def make_hierarchy(memory_blocks=64, disk_blocks=600, interarrival=40.0, rh=80.0
 
 
 class TestHierarchySimulation:
+    def test_default_run_is_pinned(self):
+        """Seed 2 over 200 ks reproduces the recorded tier counts and
+        latencies exactly, so refactors of the tape tier stay honest."""
+        hierarchy = make_hierarchy()
+        stats = hierarchy.run(200_000.0)
+        assert (stats.memory_hits, stats.disk_hits, stats.tape_misses) == (
+            521,
+            2678,
+            1762,
+        )
+        assert stats.latency.mean.hex() == (997.3566123069602).hex()
+        assert stats.tape_latency.mean.hex() == (2829.318541410909).hex()
+        assert hierarchy.observed_tape_skew == 49.3189557321227
+        assert hierarchy.tape.metrics.total_completed == 1637
+
     def test_tiers_absorb_traffic(self):
         hierarchy = make_hierarchy()
         stats = hierarchy.run(200_000.0)
