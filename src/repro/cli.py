@@ -270,7 +270,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     gap_parser = subparsers.add_parser(
         "gap",
-        help="measure each heuristic's optimality gap vs the exact baseline",
+        help=(
+            "measure each heuristic's mean response against the "
+            "per-batch-optimal exact-batch baseline (ratios below 1 are possible)"
+        ),
         parents=[campaign_parent],
     )
     gap_parser.add_argument(

@@ -180,6 +180,147 @@ def transition_row(
     return row
 
 
+def arrival_span_bound(
+    constants: ExtensionConstants,
+    block_mb: float,
+    head_mb: float,
+    positions: Sequence[float],
+    served: float,
+    deferred_weight: float,
+    overhead_s: float,
+) -> float:
+    """Certified lower bound on one tape's normalized batch cost.
+
+    ``positions`` holds one start position per distinct block (any
+    order), each block carrying at least one of the ``served``
+    requests; ``deferred_weight`` requests wait for the whole batch and
+    ``overhead_s`` (the tape switch) delays all of them.  The value is
+    at most ``(overhead_s * c + J) / served`` for *every* read order of
+    the batch from ``head_mb`` with the read startup pending, where
+    ``c = served + deferred_weight`` and ``J`` is the exact planner's
+    objective (:func:`repro.core.exact.order_cost`).  With ``n`` served
+    requests, ``d`` the deferred weight and ``b`` blocks::
+
+        LB = (overhead_s * c + n * r0 + d * M + sum_{k<b} f(k) * (b - k)) / n
+
+    * ``r0`` is the cheapest root transition (a :func:`transition_row`
+      minimum).
+    * ``f(1) <= f(2) <= ...`` are the blocks' sorted *arrival floors*.
+      A read after the first starts at the end of another block.  From
+      below, the nearest end is the next-lower block's, and a forward
+      locate over gap ``x > 0`` costs at least ``F(x)`` — the minimum
+      of the short and long forward segments at ``x`` — plus the
+      startup read; a gap ``<= 0`` leaves only the plain read.  From
+      above, the nearest end is the next-higher block's, at distance
+      ``y``: the reverse minimum ``R(y)``, plus the beginning-of-tape
+      overhead onto position 0, plus the plain read.  ``F`` and ``R``
+      are increasing, so the nearest end in each direction is the
+      cheapest arrival from that side, and the floor is the cheaper of
+      the two sides.
+    * ``M = max(r0 + sum_{k<b} f(k), S)`` bounds the batch's makespan.
+      ``S`` applies only when the head is at or below every block: the
+      head must then pass every uncovered stretch of tape between it
+      and the last block, of total length ``G``, and only forward
+      locates move it across one.  ``F`` is concave with ``F(0+) > 0``,
+      hence subadditive, so those locates cost at least ``F(G)``, and
+      the read after a forward locate pays the startup:
+      ``S = F(G) + read_startup + (b - 1) * read_plain``, or
+      ``b * read_plain`` when ``G == 0``.
+
+    Proof: let ``t_k`` be the ``k``-th transition and ``W_k`` the weight
+    still waiting during it.  ``W_1 = c`` and, as every block carries
+    at least one request, ``W_k >= d + (b - k + 1)``, so ``J >= n * t_1
+    + d * sum(t) + sum_{k>=2} (b - k + 1) * t_k``.  ``t_1 >= r0`` and
+    ``sum(t) >= M``; the ``b - 1`` arrivals ``t_2..t_b`` land on
+    distinct blocks, so by the rearrangement inequality their weighted
+    sum is at least the ``b - 1`` smallest floors paired with the
+    largest coefficients.  Every segment is evaluated with the timing
+    model's own float expression and float arithmetic is monotone, so
+    each floor is at most the transition it stands for; only the final
+    sums round differently from the cost's.  The timing constants must
+    be non-negative, as every fitted and scaled model's are.
+
+    Runs call-free on the flattened constants, apart from the one
+    :func:`transition_row` call for ``r0``; a model without them keeps
+    the plain-read bound of :func:`repro.core.exact._tape_lower_bound`.
+    """
+    forward_short_startup = constants.forward_short_startup
+    forward_short_rate = constants.forward_short_rate
+    forward_long_startup = constants.forward_long_startup
+    forward_long_rate = constants.forward_long_rate
+    reverse_short_startup = constants.reverse_short_startup
+    reverse_short_rate = constants.reverse_short_rate
+    reverse_long_startup = constants.reverse_long_startup
+    reverse_long_rate = constants.reverse_long_rate
+    read_plain_s = constants.read_plain_s
+    read_startup_s = constants.read_startup_s
+    ordered = sorted(positions)
+    count = len(ordered)
+    root = min(transition_row(constants, head_mb, True, ordered))
+    charged = served + deferred_weight
+    if count == 1:
+        # One read: J = c * t_1 exactly.
+        return (overhead_s * charged + charged * root) / served
+    floors = []
+    gap_total = 0.0
+    for index in range(count):
+        position = ordered[index]
+        floor = float("inf")
+        if index:
+            # Forward from the next-lower block's end, or only the plain
+            # read when the blocks touch or overlap.
+            gap = position - (ordered[index - 1] + block_mb)
+            if gap > 0:
+                gap_total += gap
+                short = forward_short_startup + forward_short_rate * gap
+                long = forward_long_startup + forward_long_rate * gap
+                floor = (short if short < long else long) + read_startup_s
+            else:
+                floor = read_plain_s
+        if index + 1 < count and floor > read_plain_s:
+            # Reverse from the next-higher block's end.
+            distance = (ordered[index + 1] + block_mb) - position
+            if distance > 0:
+                short = reverse_short_startup + reverse_short_rate * distance
+                long = reverse_long_startup + reverse_long_rate * distance
+                seconds = short if short < long else long
+                if position == 0:
+                    seconds += constants.bot_overhead_s
+                seconds += read_plain_s
+            else:
+                seconds = read_plain_s
+            if seconds < floor:
+                floor = seconds
+        floors.append(floor)
+    # Reads 2..b take the b - 1 cheapest floors, the cheapest paired
+    # with the most waiting requests.
+    floors.sort()
+    pairing = 0.0
+    span = root
+    coefficient = count - 1
+    for floor in floors[:-1]:
+        pairing += floor * coefficient
+        span += floor
+        coefficient -= 1
+    if head_mb <= ordered[0]:
+        gap_total += ordered[0] - head_mb
+        if gap_total > 0:
+            short = forward_short_startup + forward_short_rate * gap_total
+            long = forward_long_startup + forward_long_rate * gap_total
+            sweep = (
+                (short if short < long else long)
+                + read_startup_s
+                + (count - 1) * read_plain_s
+            )
+        else:
+            sweep = count * read_plain_s
+        if sweep > span:
+            span = sweep
+    return (
+        overhead_s * charged + served * root + deferred_weight * span + pairing
+    ) / served
+
+
 def sweep_cost(
     timing: DriveTimingModel,
     head_mb: float,

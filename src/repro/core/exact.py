@@ -54,7 +54,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from ..tape.timing import DriveTimingModel
 from ..workload.requests import Request
 from .base import MajorDecision, Scheduler, SchedulerContext, coalesce_entries
-from .cost import extension_constants, transition_row
+from .cost import arrival_span_bound, extension_constants, transition_row
 from .policies import jukebox_order
 from .sweep import ServiceEntry, SweepPhase
 
@@ -467,26 +467,41 @@ def optimal_order(
 def _tape_lower_bound(
     model: _BatchCost,
     head_mb: float,
-    entries: Sequence[ServiceEntry],
+    positions: Sequence[float],
     served: float,
     deferred_weight: float,
     overhead_s: float,
 ) -> float:
     """Lower bound on a tape's normalized decision cost, any read order.
 
-    All ``served + deferred_weight`` requests wait through the switch
-    overhead and the first read, which costs at least the cheapest root
-    transition (a sweep starts with the read startup pending).  Each of
-    the other ``k - 1`` reads costs at least one plain read, while at
-    least ``deferred_weight + m`` requests still wait when ``m`` blocks
+    ``positions`` holds one start position per distinct block.  For a
+    model with flattened constants this is
+    :func:`~repro.core.cost.arrival_span_bound`, which charges each
+    later read its cheapest arrival from a neighbouring block and the
+    deferred weight a bound on the whole batch's makespan.  A model
+    subclass (serpentine) keeps the plain-read bound: all ``served +
+    deferred_weight`` requests wait through the switch overhead and the
+    first read, which costs at least the cheapest root transition (a
+    sweep starts with the read startup pending); each of the other
+    ``k - 1`` reads costs at least one plain read, while at least
+    ``deferred_weight + m`` requests still wait when ``m`` blocks
     remain.  Dividing by ``served`` matches the per-request
     normalization of :meth:`_BatchScheduler.major_reschedule`.
     """
+    constants = model.constants
+    if constants is not None:
+        return arrival_span_bound(
+            constants,
+            model.block_mb,
+            float(head_mb),
+            positions,
+            served,
+            deferred_weight,
+            overhead_s,
+        )
     charged = served + deferred_weight
-    first_read = min(
-        model.row(float(head_mb), True, [entry.position_mb for entry in entries])
-    )
-    later_waiting = sum(deferred_weight + m for m in range(1, len(entries)))
+    first_read = min(model.row(float(head_mb), True, positions))
+    later_waiting = sum(deferred_weight + m for m in range(1, len(positions)))
     return (
         overhead_s * charged + charged * first_read + model.read_plain_s * later_waiting
     ) / served
@@ -600,10 +615,12 @@ class _BatchScheduler(Scheduler):
     serve *all* pending requests the chosen tape can satisfy — but
     plans the read order with the family's sequencing policy and picks
     the tape minimizing the full objective ``J`` (switch overhead is
-    charged against every pending request).  Tapes are planned
-    cheapest-lower-bound first, and a tape whose bound cannot beat the
-    best tape so far is never planned.  The incremental scheduler
-    absorbs arrivals for the mounted tape and re-plans the remainder.
+    charged against every pending request).  Each candidate tape gets
+    a certified lower bound from one position per distinct block in the
+    pending index; tapes are planned cheapest bound first, and a tape
+    whose bound cannot beat the best tape so far is never coalesced or
+    planned.  The incremental scheduler absorbs arrivals for the
+    mounted tape and re-plans the remainder.
     """
 
     def __init__(self) -> None:
@@ -653,12 +670,15 @@ class _BatchScheduler(Scheduler):
         # no-op; under the multi-drive service it stops the objective
         # from over-penalizing deferral and over-absorbing per sweep.
         defer_scale = 1.0 / float(max(context.drive_count, 1))
+        switch_s = timing.switch_with_rewind(
+            context.head_mb if mounted is not None else 0.0
+        )
+        positions_on = context.pending.positions_on
         options = []
         for rank, tape_id in enumerate(jukebox_order(context.tape_count, anchor)):
             requests = candidates.get(tape_id)
             if not requests:
                 continue
-            entries = coalesce_entries(requests, tape_id, context.catalog)
             served = float(len(requests))
             deferred = (total - served) * defer_scale
             if tape_id == mounted:
@@ -666,14 +686,16 @@ class _BatchScheduler(Scheduler):
                 overhead_s = 0.0
             else:
                 head = 0.0
-                rewind_from = context.head_mb if mounted is not None else 0.0
-                overhead_s = timing.switch_with_rewind(rewind_from)
+                overhead_s = switch_s
+            # One position per distinct block, from the pending index.
+            positions = {
+                request.block_id: position
+                for request, position in zip(requests, positions_on(tape_id))
+            }
             bound = _tape_lower_bound(
-                model, head, entries, served, deferred, overhead_s
+                model, head, list(positions.values()), served, deferred, overhead_s
             )
-            options.append(
-                (bound, rank, tape_id, requests, entries, head, deferred, overhead_s)
-            )
+            options.append((bound, rank, tape_id, requests, head, deferred, overhead_s))
         # Tape-level branch and bound: plan tapes in ascending bound order
         # and stop once no remaining tape's bound can reach the incumbent.
         # Minimizing (cost, jukebox rank) picks the same tape as planning
@@ -683,9 +705,10 @@ class _BatchScheduler(Scheduler):
             Tuple[float, int, int, List[ServiceEntry], List[Request], float, float]
         ] = None
         for option in options:
-            bound, rank, tape_id, requests, entries, head, deferred, overhead_s = option
+            bound, rank, tape_id, requests, head, deferred, overhead_s = option
             if best is not None and bound > best[0] * (1.0 + _BOUND_SLACK):
                 break
+            entries = coalesce_entries(requests, tape_id, context.catalog)
             order = self.plan(timing, head, entries, block_mb, deferred)
             charged = float(len(requests)) + deferred
             cost = overhead_s * charged + self._planned_cost(head, order, deferred)

@@ -7,7 +7,7 @@ Names follow ``<family>-<policy>``:
   oldest-max-bandwidth}``
 * ``dynamic-{...same five...}``
 * ``envelope-{oldest-max-requests,max-requests,max-bandwidth}``
-* ``exact-batch`` (the LTSP optimality baseline) and
+* ``exact-batch`` (the per-batch-optimal LTSP baseline) and
   ``approx-{greedy-cost,best-pass}`` (see :mod:`repro.core.exact`)
 
 Schedulers carry per-sweep state, so every lookup returns a new instance.

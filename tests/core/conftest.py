@@ -27,9 +27,14 @@ def factory():
     return RequestFactory()
 
 
-def make_context(catalog, tape_count=10, mounted=None, head_mb=0.0):
-    """A scheduler context over fresh hardware with optional mount state."""
-    jukebox = Jukebox.build(tape_count=tape_count)
+def make_context(catalog, tape_count=10, mounted=None, head_mb=0.0, timing=None):
+    """A scheduler context over fresh hardware with optional mount state
+    and, when given, a drive timing model other than the default."""
+    jukebox = (
+        Jukebox.build(tape_count=tape_count)
+        if timing is None
+        else Jukebox.build(tape_count=tape_count, timing=timing)
+    )
     if mounted is not None:
         jukebox.switch_to(mounted)
         if head_mb:

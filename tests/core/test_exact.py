@@ -8,7 +8,11 @@ permutations of the drive-exact objective, and every heuristic order
 
 The tape-level pruning of ``major_reschedule`` is checked against its
 twin, the every-tape loop, on generated pending sets: same tape, same
-order, bit-identical decision cost.
+order, bit-identical decision cost.  The tape-level lower bound behind
+it is checked against the exhaustive minimum over read orders, on
+generated batches and on pinned instances that random draws rarely
+reach, and the number of tapes it leaves to plan on a seeded run is
+pinned.
 
 The flattened search is checked against its twin too: a verbatim copy
 of the search it replaced (tuple memo keys, an ``exhausted`` flag, the
@@ -24,6 +28,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api import run
 from repro.core import (
     BatchPlan,
     DEFAULT_NODE_BUDGET,
@@ -42,6 +47,7 @@ from repro.core import (
 from repro.core.base import coalesce_entries
 from repro.core.exact import (
     _BatchCost,
+    _BatchScheduler,
     _Transitions,
     _entry_weight,
     _split_passes,
@@ -49,6 +55,9 @@ from repro.core.exact import (
 )
 from repro.core.policies import jukebox_order
 from repro.core.sweep import ServiceEntry
+from repro.experiments import ExperimentConfig
+from repro.service.metrics import report_digest
+from repro.tape.serpentine import SerpentineTimingModel
 from repro.tape.timing import DriveTimingModel
 from repro.workload import RequestFactory
 
@@ -523,7 +532,14 @@ def reference_decision(scheduler, context):
             timing, head, order, block_mb, deferred_weight=deferred
         )
         cost /= served
-        bound = _tape_lower_bound(model, head, entries, served, deferred, overhead_s)
+        bound = _tape_lower_bound(
+            model,
+            head,
+            [entry.position_mb for entry in entries],
+            served,
+            deferred,
+            overhead_s,
+        )
         # The bound and the cost sum the same terms in different orders,
         # so allow rounding, far inside the scheduler's pruning slack.
         assert bound <= cost * (1.0 + 1e-12), (tape_id, bound, cost)
@@ -534,13 +550,17 @@ def reference_decision(scheduler, context):
 
 @st.composite
 def pending_sets(draw):
-    """A jukebox of 2-8 tapes, replicated blocks, a pending set over them,
-    an optional mounted tape with a head position, and a drive count."""
+    """A jukebox of 2-8 tapes on the default or a serpentine drive,
+    replicated blocks, a pending set over them, an optional mounted tape
+    with a head position, and a drive count."""
     tape_count = draw(st.integers(min_value=2, max_value=8))
-    # Positions on a 16 MB grid (so reads can stream back to back) or
+    timing = draw(st.sampled_from([None, SerpentineTimingModel()]))
+    # Positions on a 16 MB grid (so reads can stream back to back), in a
+    # short run of touching slots (zero gaps between blocks), or
     # anywhere on the tape.
     position = st.one_of(
         st.integers(min_value=0, max_value=60).map(lambda slot: slot * 16.0),
+        st.integers(min_value=0, max_value=5).map(lambda slot: 320.0 + slot * 16.0),
         st.floats(min_value=0.0, max_value=6000.0),
     )
     block_count = draw(st.integers(min_value=1, max_value=10))
@@ -568,14 +588,22 @@ def pending_sets(draw):
     mounted = draw(st.none() | st.integers(min_value=0, max_value=tape_count - 1))
     head = draw(position) if mounted is not None else 0.0
     drive_count = draw(st.integers(min_value=1, max_value=3))
-    return catalog_from(placements), tape_count, requested, mounted, head, drive_count
+    return (
+        catalog_from(placements),
+        tape_count,
+        requested,
+        mounted,
+        head,
+        drive_count,
+        timing,
+    )
 
 
 class TestTapePruning:
     @settings(max_examples=150, deadline=None)
     @given(instance=pending_sets())
     def test_pruned_decision_matches_every_tape_loop(self, instance):
-        catalog, tape_count, requested, mounted, head, drive_count = instance
+        catalog, tape_count, requested, mounted, head, drive_count, timing = instance
         factory = RequestFactory()
         requests = [
             factory.create(block_id=block_id, arrival_s=0.0)
@@ -584,7 +612,11 @@ class TestTapePruning:
 
         def fresh_context():
             context = make_context(
-                catalog, tape_count=tape_count, mounted=mounted, head_mb=head
+                catalog,
+                tape_count=tape_count,
+                mounted=mounted,
+                head_mb=head,
+                timing=timing,
             )
             context.drive_count = drive_count
             for request in requests:
@@ -606,6 +638,225 @@ class TestTapePruning:
             assert decision.tape_id == expected_tape, name
             assert signature(decision.entries) == signature(expected_order), name
             assert scheduler.last_decision_cost == expected_cost, name
+
+    def test_bound_prunes_the_recorded_number_of_tapes(self, monkeypatch):
+        """A seeded ``exact-batch`` run at the closed Q-20 point plans the
+        recorded number of candidate tapes per major reschedule, with the
+        report it had before the bound tightened.  The plain-read bound
+        planned 548 tapes over the same 187 decisions; a looser bound
+        fails here instead of silently costing run time."""
+        counts = {"decisions": 0, "planned": 0}
+        deciding = []
+        major_reschedule = _BatchScheduler.major_reschedule
+        plan = ExactBatchScheduler.plan
+
+        def counted_major_reschedule(self, context):
+            deciding.append(True)
+            try:
+                decision = major_reschedule(self, context)
+            finally:
+                deciding.pop()
+            if decision is not None:
+                counts["decisions"] += 1
+            return decision
+
+        def counted_plan(self, *args, **kwargs):
+            if deciding:
+                counts["planned"] += 1
+            return plan(self, *args, **kwargs)
+
+        monkeypatch.setattr(
+            _BatchScheduler, "major_reschedule", counted_major_reschedule
+        )
+        monkeypatch.setattr(ExactBatchScheduler, "plan", counted_plan)
+        result = run(
+            ExperimentConfig(
+                scheduler="exact-batch",
+                queue_length=20,
+                horizon_s=120_000.0,
+                seed=1,
+            )
+        )
+        assert report_digest(result) == (
+            "879682c0a7c6ffe3bf2b03bd2b2bf5098fb9bd00fcaef4eceda5d8370ae55b7d"
+        )
+        assert counts == {"decisions": 187, "planned": 256}
+
+
+def exhaustive_normalized_cost(
+    timing, block_mb, head_mb, entries, deferred, overhead_s
+):
+    """The minimum over every read order of ``(overhead_s * c + J) / n``.
+
+    Enumerates orders through a DP over (served set, last read) states;
+    it is exhaustive because the weight still waiting during a read
+    depends only on the set already served, and the drive state after a
+    read only on that read."""
+    transitions = _Transitions(_BatchCost(timing, block_mb), head_mb, entries, True)
+    weights = transitions.weights
+    count = len(weights)
+    served = sum(weights)
+    best = {
+        (1 << j, j): cost * (deferred + served)
+        for j, cost in enumerate(transitions.root_cost)
+    }
+    for mask in range(1, 1 << count):
+        waiting = deferred + sum(
+            weight for i, weight in enumerate(weights) if not mask >> i & 1
+        )
+        for last in range(count):
+            accrued = best.get((mask, last))
+            if accrued is None:
+                continue
+            for j, cost in enumerate(transitions.step_cost[last]):
+                if mask >> j & 1:
+                    continue
+                key = (mask | 1 << j, j)
+                child = accrued + cost * waiting
+                if child < best.get(key, float("inf")):
+                    best[key] = child
+    full = (1 << count) - 1
+    total = min(best[(full, last)] for last in range(count))
+    return (overhead_s * (served + deferred) + total) / served
+
+
+def tape_bound(timing, block_mb, head_mb, entries, deferred, overhead_s):
+    served = float(sum(len(entry.requests) for entry in entries))
+    return _tape_lower_bound(
+        _BatchCost(timing, block_mb),
+        head_mb,
+        [entry.position_mb for entry in entries],
+        served,
+        deferred,
+        overhead_s,
+    )
+
+
+def arrival_cost(timing, block_mb, from_mb, to_mb):
+    """Seconds to read the block at ``to_mb`` right after the one at
+    ``from_mb``."""
+    return _BatchCost(timing, block_mb).row(from_mb + block_mb, False, [to_mb])[0]
+
+
+@st.composite
+def bound_instances(draw):
+    """A batch of 1-8 blocks, each with 1-3 requests, on a plain, scaled
+    or symmetric model with 16 MB or 1 MB blocks: positions on the block
+    grid (touching blocks included), at BOT or anywhere; the head at
+    BOT, on a block or anywhere; any deferred weight and overhead."""
+    timing = draw(st.sampled_from([TIMING, TIMING.scaled(2.0), SYMMETRIC_TIMING]))
+    block_mb = draw(st.sampled_from([BLOCK_MB, 1.0]))
+    position = st.one_of(
+        st.just(0.0),
+        st.integers(0, 40).map(lambda slot: slot * block_mb),
+        st.floats(0.0, 6000.0),
+    )
+    count = draw(st.integers(1, 8))
+    spec = draw(
+        st.lists(
+            st.tuples(position, st.integers(1, 3)),
+            min_size=count,
+            max_size=count,
+        )
+    )
+    head = draw(
+        st.one_of(
+            st.just(0.0),
+            st.sampled_from([place for place, _ in spec]),
+            st.floats(0.0, 6000.0),
+        )
+    )
+    deferred = draw(st.integers(0, 90)) * (1.0 / 3.0)
+    overhead_s = draw(st.sampled_from([0.0, timing.switch_with_rewind(0.0)]))
+    return timing, block_mb, head, make_entries(spec), deferred, overhead_s
+
+
+class TestArrivalSpanBound:
+    """The tape-level bound is certified: never above the cheapest order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(instance=bound_instances())
+    def test_bound_never_exceeds_exhaustive_minimum(self, instance):
+        timing, block_mb, head, entries, deferred, overhead_s = instance
+        bound = tape_bound(timing, block_mb, head, entries, deferred, overhead_s)
+        cheapest = exhaustive_normalized_cost(
+            timing, block_mb, head, entries, deferred, overhead_s
+        )
+        assert bound <= cheapest * (1.0 + 1e-12), (bound, cheapest)
+
+    @pytest.mark.parametrize("deferred", [0.0, 5.0, 50.0])
+    def test_floor_takes_the_cheaper_segment_at_the_threshold(self, deferred):
+        """From the head at BOT, once requests are deferred, the cheapest
+        order reads 0, 1, 0.5 and then the block 27.9 MB past the end of
+        the one at 1: it arrives from the farther block at 0.5, by a long
+        forward locate that costs less than the nearer block's short one.
+        The bound must charge that arrival the cheaper segment."""
+        block_mb = 0.25
+        target = 1.0 + block_mb + 27.9
+        assert arrival_cost(TIMING, block_mb, 0.5, target) < arrival_cost(
+            TIMING, block_mb, 1.0, target
+        )
+        entries = make_entries([(0.0, 1), (0.5, 1), (1.0, 1), (target, 1)])
+        bound = tape_bound(TIMING, block_mb, 0.0, entries, deferred, 0.0)
+        cheapest = exhaustive_normalized_cost(
+            TIMING, block_mb, 0.0, entries, deferred, 0.0
+        )
+        assert bound <= cheapest * (1.0 + 1e-12), (bound, cheapest)
+
+    @pytest.mark.parametrize("deferred", [0.0, 3.0, 20.0])
+    def test_reverse_floor_onto_bot_pays_the_overhead(self, deferred):
+        """Arriving at block 0 means a reverse locate onto BOT.  With the
+        overhead in its floor, block 0 has the costliest floor, the one
+        the bound leaves out, and the bound is exact from BOT; from the
+        top block, which must reverse onto 0 later, it stays below the
+        cheapest order."""
+        entries = make_entries([(0.0, 1), (320.0, 1), (700.0, 1)])
+        bound = tape_bound(TIMING, BLOCK_MB, 0.0, entries, deferred, 0.0)
+        cheapest = exhaustive_normalized_cost(
+            TIMING, BLOCK_MB, 0.0, entries, deferred, 0.0
+        )
+        assert bound == pytest.approx(cheapest, rel=1e-12)
+        assert bound <= cheapest * (1.0 + 1e-12)
+        entries = make_entries([(0.0, 1), (144.0, 1), (320.0, 1), (528.0, 1)])
+        assert tape_bound(
+            TIMING, BLOCK_MB, 528.0, entries, deferred, 0.0
+        ) <= exhaustive_normalized_cost(
+            TIMING, BLOCK_MB, 528.0, entries, deferred, 0.0
+        ) * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("deferred", [0.0, 1.0, 5.0])
+    def test_head_above_a_block_is_tight_without_the_sweep_term(self, deferred):
+        """The head sits on the upper of two 1 MB blocks, above the other.
+        Serving it in place and then reversing over the 26 MB gap costs
+        less than any forward locate over that gap, so the forward-span
+        term must not apply; the bound is then exact."""
+        block_mb = 1.0
+        entries = make_entries([(100.0, 1), (127.0, 1)])
+        bound = tape_bound(TIMING, block_mb, 127.0, entries, deferred, 0.0)
+        cheapest = exhaustive_normalized_cost(
+            TIMING, block_mb, 127.0, entries, deferred, 0.0
+        )
+        assert bound == pytest.approx(cheapest, rel=1e-12)
+        assert bound <= cheapest * (1.0 + 1e-12)
+
+    def test_at_least_as_tight_as_the_plain_read_bound(self):
+        """Every floor is at least one plain read, so the bound never
+        falls below the one a model subclass keeps."""
+        rng = random.Random(23)
+        model = _BatchCost(TIMING, BLOCK_MB)
+        # Without flattened constants the same model takes the
+        # plain-read bound, as a timing-model subclass does.
+        plain_model = _BatchCost(TIMING, BLOCK_MB)
+        plain_model.constants = None
+        for _ in range(40):
+            spec, head, deferred, _ = random_instance(rng, rng.randint(1, 8))
+            positions = [place for place, _ in spec]
+            served = float(len(spec))
+            for overhead_s in (0.0, TIMING.switch_with_rewind(0.0)):
+                args = (head, positions, served, deferred, overhead_s)
+                bound = _tape_lower_bound(model, *args)
+                plain = _tape_lower_bound(plain_model, *args)
+                assert bound >= plain * (1.0 - 1e-12)
 
 
 class _FrozenTransitions(_Transitions):
