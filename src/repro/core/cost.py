@@ -180,6 +180,69 @@ def transition_row(
     return row
 
 
+def extension_bandwidth(
+    constants: ExtensionConstants,
+    envelope_mb: float,
+    block_mb: float,
+    charge_switch: bool,
+    position_mb: float,
+) -> float:
+    """Incremental bandwidth of extending an envelope through one block.
+
+    The call-free kernel behind the envelope scheduler's arrival
+    pricing: the value equals ``ExtensionCostTracker(timing,
+    envelope_mb, block_mb, charge_switch)`` followed by
+    ``extend(position_mb)`` and ``prefix_bandwidth()`` bit for bit,
+    because it evaluates the same expressions in the same order.  The
+    outbound leg is ``0.0``, plus the forward locate when the block
+    starts beyond the envelope, plus the startup read; the return leg is
+    the reverse locate over ``(position_mb + block_mb) - envelope_mb``,
+    plus the beginning-of-tape overhead when the envelope is at 0; the
+    cost is ``(switch + outbound) + return`` and the bandwidth one
+    block's bytes over it (``inf`` when the cost is not positive).
+    ``distance <= short threshold`` is the timing model's segment rule.
+    ``constants`` come from :func:`extension_constants`; models without
+    them keep the tracker, the same split :func:`_sweep` makes.
+    """
+    if position_mb < envelope_mb - block_mb:
+        raise ValueError(
+            f"extension list not sorted: {position_mb} behind head {envelope_mb}"
+        )
+    threshold = constants.short_threshold_mb
+    outbound_s = 0.0
+    distance = position_mb - envelope_mb
+    if distance > 0:
+        outbound_s += (
+            constants.forward_short_startup + constants.forward_short_rate * distance
+            if distance <= threshold
+            else constants.forward_long_startup
+            + constants.forward_long_rate * distance
+        )
+    outbound_s += constants.read_startup_s
+    return_distance = (position_mb + block_mb) - envelope_mb
+    if return_distance > 0:
+        return_s = (
+            constants.reverse_short_startup
+            + constants.reverse_short_rate * return_distance
+            if return_distance <= threshold
+            else constants.reverse_long_startup
+            + constants.reverse_long_rate * return_distance
+        )
+        if envelope_mb == 0:
+            return_s += constants.bot_overhead_s
+    elif return_distance == 0:
+        return_s = 0.0
+    else:
+        raise ValueError(
+            f"reverse locate distance must be >= 0, got {return_distance!r}"
+        )
+    cost = ((constants.switch_s if charge_switch else 0.0) + outbound_s) + return_s
+    if cost <= 0:
+        return float("inf")
+    # ``1 * block_mb`` is exact, so one block's bytes need no count.
+    return block_mb * MB / cost
+
+
 def arrival_span_bound(
     constants: ExtensionConstants,
     block_mb: float,
@@ -400,7 +463,8 @@ class ExtensionConstants:
     """Flattened timing constants for call-free cost loops.
 
     The envelope scheduler's step-3 search evaluates an incremental
-    bandwidth for *every* candidate prefix length on every tape,
+    bandwidth for *every* candidate prefix length on every tape, and
+    its arrival pricing one for every copy outside the envelope;
     every max-bandwidth decision costs a full sweep on every candidate
     tape, and every exact-batch plan costs a full transition matrix;
     going through the model's methods (or
@@ -408,7 +472,7 @@ class ExtensionConstants:
     lookups per block.  For the plain piecewise-linear
     :class:`~repro.tape.timing.DriveTimingModel` those calls reduce to
     straight-line arithmetic over a handful of constants.  This bundle
-    hoists them once so all three loops can run call-free.
+    hoists them once so all of these can run call-free.
 
     Every float here is produced by the timing model's own methods, and
     the consumer applies them with the exact expressions the tracker's

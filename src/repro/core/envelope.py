@@ -42,11 +42,24 @@ rounds until its envelope or candidate set moves, and the absorb rescan
 after an extension only visits requests whose replica on the extended
 tape newly fell inside the envelope — the only requests whose
 absorption status can change.
+
+The decision then reads each tape's satisfiable set off those rows
+(:meth:`EnvelopeComputer.satisfiable_rows`): the rows are sorted by
+position and float addition is monotone, so the requests a tape
+satisfies within the upper envelope are a prefix of its rows, its
+block positions are that prefix without repeats, and the winner's
+requests return to arrival order with one filter of the snapshot.  An
+arrival during a sweep can only join it through the mounted tape, so a
+block without a copy there goes straight to the pending list; otherwise
+the one-block kernel (:func:`~repro.core.cost.extension_bandwidth`)
+prices the copies outside their envelopes until one beats the mounted
+copy.  A timing model without flattened constants keeps the tracker
+and prices every copy.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import itemgetter
@@ -56,9 +69,18 @@ from ..layout.catalog import BlockCatalog, Replica
 from ..tape.timing import DriveTimingModel
 from ..workload.requests import Request
 from .base import MajorDecision, Scheduler, SchedulerContext, coalesce_entries
-from .cost import MB, ExtensionCostTracker, extension_constants
+from .cost import (
+    MB,
+    ExtensionConstants,
+    ExtensionCostTracker,
+    extension_bandwidth,
+    extension_constants,
+)
 from .policies import SelectionContext, TapeSelectionPolicy, jukebox_order
 from .sweep import ServiceEntry
+
+#: A candidate row: one pending request's copy on one tape.
+_Row = Tuple[float, int, Request, Replica]
 
 #: Sort/bisect key of a candidate row
 #: ``(position_mb, request_id, request, replica)``.
@@ -123,6 +145,10 @@ class EnvelopeComputer:
         #: Step 5 (envelope shrinking) can be disabled for ablation
         #: studies of the algorithm's design choices.
         self._enable_shrink = enable_shrink
+        # Per-compute working state, rebuilt at the top of ``compute``.
+        self._request_index: Dict[int, Request] = {}
+        self._replicas_of: Dict[int, Tuple[Replica, ...]] = {}
+        self._by_tape: Dict[int, List[_Row]] = {}
 
     # -- helpers --------------------------------------------------------
     def _rank_after_mounted(self) -> Dict[int, int]:
@@ -151,10 +177,15 @@ class EnvelopeComputer:
         )
 
     def _build_working_state(self, requests: Sequence[Request]) -> None:
-        """Replica cache + per-tape rows sorted by ``(position, request_id)``."""
+        """Replica cache + per-tape rows sorted by ``(position, request_id)``.
+
+        A request has at most one row per tape, so request ids are
+        unique within a tape's rows and the natural tuple order never
+        compares past the id.
+        """
         catalog = self._catalog
         replicas_of: Dict[int, Tuple[Replica, ...]] = {}
-        by_tape: Dict[int, List[Tuple[float, int, Request, Replica]]] = {}
+        by_tape: Dict[int, List[_Row]] = {}
         for request in requests:
             block_id = request.block_id
             replicas = replicas_of.get(block_id)
@@ -165,7 +196,7 @@ class EnvelopeComputer:
                     (replica.position_mb, request.request_id, request, replica)
                 )
         for rows in by_tape.values():
-            rows.sort(key=lambda row: (row[0], row[1]))
+            rows.sort()
         self._replicas_of = replicas_of
         self._by_tape = by_tape
 
@@ -379,7 +410,7 @@ class EnvelopeComputer:
         rank: Dict[int, int],
         cache: Optional[Dict[int, tuple]] = None,
         stale: Optional[Dict[int, str]] = None,
-    ) -> Optional[Tuple[int, List[Tuple[float, int, Request, Replica]]]]:
+    ) -> Optional[Tuple[int, List[_Row]]]:
         """Step 3: the (tape, prefix) with maximal incremental bandwidth.
 
         The fast path flattens the timing model into constants and runs
@@ -535,10 +566,10 @@ class EnvelopeComputer:
         unscheduled: List[Request],
         state: EnvelopeState,
         rank: Dict[int, int],
-    ) -> Optional[Tuple[int, List[Tuple[float, int, Request, Replica]]]]:
+    ) -> Optional[Tuple[int, List[_Row]]]:
         """The tracker-based step-3 scan (non-standard timing models)."""
         best_key: Optional[Tuple[float, int, int]] = None
-        best: Optional[Tuple[int, List[Tuple[float, int, Request, Replica]]]] = None
+        best: Optional[Tuple[int, List[_Row]]] = None
         unscheduled_ids = {request.request_id for request in unscheduled}
         by_tape = self._by_tape
         for tape_id in range(self._tape_count):
@@ -636,15 +667,34 @@ class EnvelopeComputer:
                 highest = max(highest, replica.position_mb + block_mb)
         state.envelope[tape_id] = highest
 
-    # ------------------------------------------------------------------
-    # Per-compute working state (set at the top of ``compute``).
-    _request_index: Dict[int, Request] = {}
-    _replicas_of: Dict[int, Tuple[Replica, ...]] = {}
-    _by_tape: Dict[int, List[Tuple[float, int, Request, Replica]]] = {}
-
     def _assigned_request(self, request_id: int) -> Optional[Request]:
         """Resolve a request id back to its object (set by compute())."""
         return self._request_index.get(request_id)
+
+    def satisfiable_rows(self, envelope: Dict[int, float]) -> Dict[int, List[_Row]]:
+        """Per tape, the rows of the last :meth:`compute` that ``envelope``
+        covers: ``(position_mb, request_id, request, replica)`` with
+        ``position_mb + block_mb <= envelope[tape]``, sorted by
+        ``(position, request_id)``.  Tapes without such a row are left out.
+
+        A tape's rows are sorted by position and float addition is
+        monotone, so the covered rows are a prefix of them: a bisect
+        finds its end up to rounding, and the exact inequality settles
+        the boundary.  A request has at most one row per tape.
+        """
+        block_mb = self._block_mb
+        satisfiable: Dict[int, List[_Row]] = {}
+        for tape_id, rows in self._by_tape.items():
+            limit = envelope.get(tape_id, 0.0)
+            end = bisect_right(rows, limit - block_mb, key=_row_position)
+            count = len(rows)
+            while end < count and rows[end][0] + block_mb <= limit:
+                end += 1
+            while end and rows[end - 1][0] + block_mb > limit:
+                end -= 1
+            if end:
+                satisfiable[tape_id] = rows[:end]
+        return satisfiable
 
 
 class EnvelopeScheduler(Scheduler):
@@ -691,46 +741,36 @@ class EnvelopeScheduler(Scheduler):
             enable_shrink=self._enable_shrink,
         )
         state = computer.compute(requests)
-        block_mb = context.block_mb
 
         # For each tape: every request satisfiable within the upper
-        # envelope (a superset of the per-tape assignment).  The computer
-        # already resolved every request's replicas against the catalog
-        # during this synchronous call, so its cache answers the same
-        # queries without re-touching the catalog.
-        replicas_cache = computer._replicas_of
-        envelope_map = state.envelope
-        satisfiable: Dict[int, List[Request]] = {}
-        for request in requests:
-            for replica in replicas_cache[request.block_id]:
-                if replica.position_mb + block_mb <= envelope_map.get(
-                    replica.tape_id, 0.0
-                ):
-                    satisfiable.setdefault(replica.tape_id, []).append(request)
+        # envelope (a superset of the per-tape assignment), in position
+        # order.  The policies read only each tape's multiset of
+        # requests and of block positions, never their order.
+        satisfiable = computer.satisfiable_rows(state.envelope)
 
         def positions_for(tape_id: int) -> List[float]:
-            seen = set()
+            # One position per distinct block: equal positions on one
+            # tape are one block (extents on a tape never overlap), and
+            # the sorted rows hold them next to each other.
             positions = []
-            for request in satisfiable.get(tape_id, ()):
-                if request.block_id in seen:
-                    continue
-                seen.add(request.block_id)
-                # A block has at most one copy per tape, so the first
-                # cached replica on ``tape_id`` is the ``replica_on``
-                # answer.
-                for replica in replicas_cache[request.block_id]:
-                    if replica.tape_id == tape_id:
-                        positions.append(replica.position_mb)
-                        break
+            previous = None
+            for row in satisfiable.get(tape_id, ()):
+                position = row[0]
+                if position != previous:
+                    positions.append(position)
+                    previous = position
             return positions
 
         selection = SelectionContext(
             timing=context.jukebox.timing,
-            block_mb=block_mb,
+            block_mb=context.block_mb,
             tape_count=context.tape_count,
             mounted_id=context.mounted_id,
             head_mb=context.head_mb,
-            candidates=satisfiable,
+            candidates={
+                tape_id: [row[2] for row in rows]
+                for tape_id, rows in satisfiable.items()
+            },
             positions_for=positions_for,
             resolve_oldest=context.pending.oldest,
         )
@@ -738,7 +778,9 @@ class EnvelopeScheduler(Scheduler):
         if tape_id is None:  # pragma: no cover - envelope covers all requests
             return None
 
-        chosen = satisfiable[tape_id]
+        # The sweep takes the winner's requests in arrival order.
+        chosen_ids = {row[1] for row in satisfiable[tape_id]}
+        chosen = [request for request in requests if request.request_id in chosen_ids]
         context.pending.remove_many(chosen)
         entries = coalesce_entries(chosen, tape_id, context.catalog)
         self._active_envelope = dict(state.envelope)
@@ -751,22 +793,100 @@ class EnvelopeScheduler(Scheduler):
         if service is None or mounted is None:
             context.pending.append(request)
             return False
-        block_mb = context.block_mb
+        catalog = context.catalog
+        block_mb = catalog.block_mb
         envelope = self._active_envelope
 
         # Satisfiable on the current tape within the upper envelope:
         # insert into the sweep as the dynamic incremental scheduler does.
-        if context.catalog.has_replica_on(request.block_id, mounted):
-            replica = context.catalog.replica_on(request.block_id, mounted)
+        replica: Optional[Replica] = None
+        if catalog.has_replica_on(request.block_id, mounted):
+            replica = catalog.replica_on(request.block_id, mounted)
             if replica.position_mb + block_mb <= envelope.get(mounted, 0.0):
                 if self._insert_into_sweep(service, request, replica):
                     return True
                 context.pending.append(request)
                 return False
 
-        # Otherwise apply steps 3-5 for this single request: find the
-        # cheapest envelope extension covering it.
-        best_tape: Optional[int] = None
+        # Otherwise apply steps 3-5 for this single request: the sweep
+        # takes it only when extending the mounted tape's envelope is the
+        # cheapest extension covering it.
+        timing = context.jukebox.timing
+        constants = extension_constants(timing, block_mb)
+        if constants is None:
+            replica = self._cheapest_copy_tracked(context, request, timing)
+            extends = replica is not None and replica.tape_id == mounted
+        else:
+            extends = replica is not None and self._mounted_copy_wins(
+                constants, catalog.replicas_of(request.block_id), replica, block_mb
+            )
+        if extends:
+            if self._insert_into_sweep(service, request, replica):
+                envelope[mounted] = max(
+                    envelope.get(mounted, 0.0), replica.position_mb + block_mb
+                )
+                return True
+        context.pending.append(request)
+        return False
+
+    def _mounted_copy_wins(
+        self,
+        constants: ExtensionConstants,
+        replicas: Sequence[Replica],
+        mounted_copy: Replica,
+        block_mb: float,
+    ) -> bool:
+        """Whether the mounted tape's copy, outside its envelope, is the
+        cheapest extension covering its block.
+
+        :meth:`_cheapest_copy_tracked` keeps the first copy with the
+        greatest ``(bandwidth, -rank)``, ranking tapes in jukebox order
+        after the mounted one, which ranks the mounted tape last.  So the
+        mounted copy wins exactly when its bandwidth is strictly greater
+        than every other copy's, a copy inside its tape's envelope
+        counting as infinite, and no rank is needed.  The one-block
+        kernel is pure, so the scan stops at the first copy that wins.
+        """
+        envelope = self._active_envelope
+        mounted = mounted_copy.tape_id
+        target = extension_bandwidth(
+            constants,
+            envelope.get(mounted, 0.0),
+            block_mb,
+            False,
+            mounted_copy.position_mb,
+        )
+        for replica in replicas:
+            tape_id = replica.tape_id
+            if tape_id == mounted:
+                continue
+            tape_envelope = envelope.get(tape_id, 0.0)
+            if replica.position_mb + block_mb <= tape_envelope:
+                return False
+            bandwidth = extension_bandwidth(
+                constants,
+                tape_envelope,
+                block_mb,
+                tape_envelope == 0.0,
+                replica.position_mb,
+            )
+            if bandwidth >= target:
+                return False
+        return True
+
+    def _cheapest_copy_tracked(
+        self, context: SchedulerContext, request: Request, timing: DriveTimingModel
+    ) -> Optional[Replica]:
+        """The copy of ``request``'s block with the cheapest envelope
+        extension, priced by :class:`ExtensionCostTracker`.
+
+        The path of timing models without flattened constants: their
+        calls may draw from a random stream (the noisy wrapper), so every
+        copy is priced and no call is skipped.
+        """
+        block_mb = context.block_mb
+        envelope = self._active_envelope
+        mounted = context.mounted_id
         best_key: Optional[Tuple[float, int]] = None
         best_replica: Optional[Replica] = None
         rank = _rank_after(context.tape_count, mounted + 1)
@@ -781,24 +901,14 @@ class EnvelopeScheduler(Scheduler):
             else:
                 charge_switch = tape_envelope == 0.0 and replica.tape_id != mounted
                 tracker = ExtensionCostTracker(
-                    context.jukebox.timing, tape_envelope, block_mb, charge_switch
+                    timing, tape_envelope, block_mb, charge_switch
                 )
                 tracker.extend(replica.position_mb)
                 key = (tracker.prefix_bandwidth(), -rank[replica.tape_id])
             if best_key is None or key > best_key:
                 best_key = key
-                best_tape = replica.tape_id
                 best_replica = replica
-
-        if best_tape == mounted and best_replica is not None:
-            if self._insert_into_sweep(service, request, best_replica):
-                self._active_envelope[mounted] = max(
-                    self._active_envelope.get(mounted, 0.0),
-                    best_replica.position_mb + block_mb,
-                )
-                return True
-        context.pending.append(request)
-        return False
+        return best_replica
 
     def _insert_into_sweep(self, service, request: Request, replica: Replica) -> bool:
         existing = service.find_block(request.block_id)

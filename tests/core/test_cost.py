@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
+    EnvelopeScheduler,
     ExtensionCostTracker,
     MaxBandwidth,
     SelectionContext,
@@ -15,10 +16,17 @@ from repro.core import (
     schedule_time,
     sweep_cost,
 )
-from repro.core.cost import MB, extension_constants, transition_row
+from repro.core.cost import (
+    MB,
+    extension_bandwidth,
+    extension_constants,
+    transition_row,
+)
 from repro.core.exact import _BatchCost
 from repro.tape import EXB_8505XL, DriveTimingModel, Jukebox
 from repro.workload import RequestFactory
+
+from .conftest import catalog_from, make_context
 
 BLOCK = 16.0
 
@@ -414,3 +422,127 @@ class TestKernelTwin:
             if bandwidth > best:
                 expected, best = tape_id, bandwidth
         assert MaxBandwidth().select(context) == expected
+
+
+@st.composite
+def _extensions(draw):
+    """A timing model, block size, envelope, switch charge and position
+    for one single-block envelope extension.
+
+    Envelopes are ``0.0`` (the return leg lands on the beginning of
+    tape), block-aligned or free mid-tape floats.  Positions cover the
+    last block's reach ``[envelope - block, envelope]`` (no forward
+    locate), both of its ends, a forward distance and a return distance
+    of exactly the short-segment threshold, block-aligned slots and free
+    floats beyond the envelope, and positions behind the reach, which
+    the tracker rejects.
+    """
+    timing = draw(st.sampled_from(_MODELS))
+    block_mb = draw(st.sampled_from([1.0, 16.0]))
+    threshold = timing.short_threshold_mb
+    envelope_mb = draw(
+        st.one_of(
+            st.just(0.0),
+            st.integers(1, 300).map(lambda slot: slot * block_mb),
+            st.floats(0.0, 5000.0),
+        )
+    )
+    position_mb = draw(
+        st.one_of(
+            st.floats(envelope_mb - block_mb, envelope_mb),
+            st.sampled_from(
+                [
+                    envelope_mb - block_mb,
+                    envelope_mb,
+                    envelope_mb + threshold,
+                    envelope_mb + threshold - block_mb,
+                ]
+            ),
+            st.integers(0, 300).map(lambda slot: envelope_mb + slot * block_mb),
+            st.floats(envelope_mb, envelope_mb + 5000.0),
+            st.floats(envelope_mb - 100.0, envelope_mb - block_mb),
+        )
+    )
+    charge_switch = draw(st.booleans())
+    return timing, block_mb, envelope_mb, charge_switch, position_mb
+
+
+def _outcome(compute):
+    """``compute()``'s float as hex, or the exception type it raised."""
+    try:
+        return compute().hex()
+    except ValueError:
+        return "ValueError"
+
+
+class TestExtensionKernelTwin:
+    """The one-block extension kernel against the tracker, bit for bit."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(extension=_extensions())
+    def test_kernel_matches_tracker(self, extension):
+        timing, block_mb, envelope_mb, charge_switch, position_mb = extension
+
+        def tracked():
+            tracker = ExtensionCostTracker(
+                timing, envelope_mb, block_mb, charge_switch
+            )
+            tracker.extend(position_mb)
+            return tracker.prefix_bandwidth()
+
+        def flat():
+            return extension_bandwidth(
+                extension_constants(timing, block_mb),
+                envelope_mb,
+                block_mb,
+                charge_switch,
+                position_mb,
+            )
+
+        assert _outcome(flat) == _outcome(tracked)
+
+    def test_arrival_pricing_for_subclass_takes_the_tracker(self):
+        """A model subclass may override the locate arithmetic, so the
+        envelope scheduler prices an arriving request's copies through
+        the tracker and the overriding methods, and decides as the
+        flattened kernel does for the plain model."""
+        class CountingTiming(DriveTimingModel):
+            reverse = []
+
+            def locate_reverse(self, distance_mb, lands_on_bot=False):
+                self.reverse.append((distance_mb, lands_on_bot))
+                return super().locate_reverse(distance_mb, lands_on_bot)
+
+        catalog = catalog_from([[(0, 0.0)], [(0, 32.0), (1, 6500.0)]])
+        outcomes = []
+        for timing in (
+            EXB_8505XL,
+            CountingTiming(
+                **{
+                    f.name: getattr(EXB_8505XL, f.name)
+                    for f in dataclasses.fields(EXB_8505XL)
+                }
+            ),
+        ):
+            factory = RequestFactory()
+            context = make_context(catalog, tape_count=2, mounted=0, timing=timing)
+            scheduler = EnvelopeScheduler(MaxBandwidth())
+            context.pending.append(factory.create(block_id=0, arrival_s=0.0))
+            decision = scheduler.major_reschedule(context)
+            context.service = ServiceList(decision.entries, head_mb=0.0)
+            CountingTiming.reverse.clear()
+            late = factory.create(block_id=1, arrival_s=1.0)
+            outcomes.append(
+                (
+                    scheduler.on_arrival(context, late),
+                    context.service.remaining_positions(),
+                    dict(scheduler._active_envelope),
+                )
+            )
+        # Both copies lie outside their envelopes and go through the
+        # tracker, whose ``extend`` and ``prefix_bandwidth`` each price
+        # the return leg: the mounted tape's from the end of block 1 to
+        # the envelope at 16, tape 1's from 6516 back onto BOT.
+        assert CountingTiming.reverse == [(32.0, False)] * 2 + [(6516.0, True)] * 2
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] is True

@@ -263,6 +263,43 @@ class TestEnvelopeScheduler:
         assert EnvelopeScheduler(MaxBandwidth()).name == "envelope-max-bandwidth"
 
 
+class TestEnvelopeComputerState:
+    def test_computers_do_not_share_working_state(self, factory):
+        """Each computer owns its replica cache, rows and request index:
+        one computer's compute neither shows through nor writes into
+        another's, before or after that other computes."""
+        catalog = catalog_from([[(0, 0.0)], [(0, 32.0), (1, 16.0)]])
+
+        def computer():
+            return EnvelopeComputer(
+                timing=EXB_8505XL,
+                catalog=catalog,
+                tape_count=2,
+                mounted_id=None,
+                head_mb=0.0,
+            )
+
+        first, second = computer(), computer()
+        for name in ("_request_index", "_replicas_of", "_by_tape"):
+            assert getattr(first, name) is not getattr(second, name), name
+        requests = [
+            factory.create(block_id=0, arrival_s=0.0),
+            factory.create(block_id=1, arrival_s=0.0),
+        ]
+        state = first.compute(requests)
+        assert second.satisfiable_rows(state.envelope) == {}
+        assert not second._request_index
+        assert not second._replicas_of
+        assert not second._by_tape
+        rows = first.satisfiable_rows(state.envelope)
+        assert [row[:2] for row in rows[0]] == [
+            (0.0, requests[0].request_id),
+            (32.0, requests[1].request_id),
+        ]
+        second.compute(requests[:1])
+        assert first.satisfiable_rows(state.envelope) == rows
+
+
 @pytest.mark.parametrize("queue", [5, 20, 100])
 @pytest.mark.parametrize(
     "envelope,dynamic",
