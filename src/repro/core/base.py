@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Set
 
 from ..layout.catalog import BlockCatalog
 from ..tape.jukebox import Jukebox
+from ..tape.noisy import NoisyTimingModel
 from ..workload.requests import Request
 from .pending import PendingList
 from .sweep import ServiceEntry, ServiceList
@@ -59,6 +60,20 @@ class SchedulerContext:
         if self.incoming is not None:
             return 0.0
         return self.jukebox.head_mb
+
+    @property
+    def pricing_timing(self):
+        """The timing model schedulers price with.
+
+        The drive's own model, or the clean ``base`` model when the drive
+        runs a :class:`~repro.tape.noisy.NoisyTimingModel`: schedulers
+        decide with the model while the "hardware" misbehaves, and
+        pricing a plan draws nothing from the drive's noise stream.
+        """
+        timing = self.jukebox.timing
+        if isinstance(timing, NoisyTimingModel):
+            return timing.base
+        return timing
 
     @property
     def block_mb(self) -> float:

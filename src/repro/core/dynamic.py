@@ -30,18 +30,20 @@ class DynamicScheduler(StaticScheduler):
         if service is None or mounted is None:
             context.pending.append(request)
             return False
-        if not context.catalog.has_replica_on(request.block_id, mounted):
+        catalog = context.catalog
+        block_id = request.block_id
+        if not catalog.has_replica_on(block_id, mounted):
             context.pending.append(request)
             return False
         # Coalesce onto an already scheduled (not yet started) read.
-        existing = service.find_block(request.block_id)
+        existing = service.find_block(block_id)
         if existing is not None:
             existing.attach(request)
             return True
-        replica = context.catalog.replica_on(request.block_id, mounted)
+        replica = catalog.replica_on(block_id, mounted)
         entry = ServiceEntry(
             position_mb=replica.position_mb,
-            block_id=request.block_id,
+            block_id=block_id,
             requests=[request],
         )
         if service.insert(entry):

@@ -733,7 +733,7 @@ class EnvelopeScheduler(Scheduler):
         if not requests:
             return None
         computer = EnvelopeComputer(
-            timing=context.jukebox.timing,
+            timing=context.pricing_timing,
             catalog=context.catalog,
             tape_count=context.tape_count,
             mounted_id=context.mounted_id,
@@ -762,7 +762,7 @@ class EnvelopeScheduler(Scheduler):
             return positions
 
         selection = SelectionContext(
-            timing=context.jukebox.timing,
+            timing=context.pricing_timing,
             block_mb=context.block_mb,
             tape_count=context.tape_count,
             mounted_id=context.mounted_id,
@@ -811,7 +811,7 @@ class EnvelopeScheduler(Scheduler):
         # Otherwise apply steps 3-5 for this single request: the sweep
         # takes it only when extending the mounted tape's envelope is the
         # cheapest extension covering it.
-        timing = context.jukebox.timing
+        timing = context.pricing_timing
         constants = extension_constants(timing, block_mb)
         if constants is None:
             replica = self._cheapest_copy_tracked(context, request, timing)

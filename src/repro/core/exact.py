@@ -656,7 +656,7 @@ class _BatchScheduler(Scheduler):
         if len(context.pending) == 0:
             return None
         candidates = context.pending.candidate_tapes()
-        timing = context.jukebox.timing
+        timing = context.pricing_timing
         block_mb = context.block_mb
         self._timing = timing
         self._block_mb = block_mb

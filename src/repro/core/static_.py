@@ -46,7 +46,7 @@ class StaticScheduler(Scheduler):
     def _selection_context(self, context: SchedulerContext) -> SelectionContext:
         pending = context.pending
         return SelectionContext(
-            timing=context.jukebox.timing,
+            timing=context.pricing_timing,
             block_mb=context.block_mb,
             tape_count=context.tape_count,
             mounted_id=context.mounted_id,

@@ -31,6 +31,14 @@ class ServiceEntry:
         self.requests.append(request)
 
 
+def _position(entry: ServiceEntry) -> float:
+    return entry.position_mb
+
+
+def _negated_position(entry: ServiceEntry) -> float:
+    return -entry.position_mb
+
+
 class SweepPhase(enum.Enum):
     """Which part of the sweep the head is currently executing."""
 
@@ -58,11 +66,11 @@ class ServiceList:
         self.start_head_mb = float(head_mb)
         self._forward: List[ServiceEntry] = sorted(
             (entry for entry in entries if entry.position_mb >= head_mb),
-            key=lambda entry: entry.position_mb,
+            key=_position,
         )
         self._reverse: List[ServiceEntry] = sorted(
             (entry for entry in entries if entry.position_mb < head_mb),
-            key=lambda entry: -entry.position_mb,
+            key=_negated_position,
         )
         self._in_flight: Optional[ServiceEntry] = None
         #: Position of the deepest forward read started (sweep progress).
@@ -186,13 +194,14 @@ class ServiceList:
         """
         if not self.can_insert(entry.position_mb):
             return False
-        if entry.position_mb >= self.start_head_mb:
-            keys = [existing.position_mb for existing in self._forward]
-            index = bisect.bisect_left(keys, entry.position_mb)
+        position_mb = entry.position_mb
+        if position_mb >= self.start_head_mb:
+            index = bisect.bisect_left(self._forward, position_mb, key=_position)
             self._forward.insert(index, entry)
         else:
-            keys = [-existing.position_mb for existing in self._reverse]
-            index = bisect.bisect_left(keys, -entry.position_mb)
+            index = bisect.bisect_left(
+                self._reverse, -position_mb, key=_negated_position
+            )
             self._reverse.insert(index, entry)
         self._by_block.setdefault(entry.block_id, []).append(entry)
         return True

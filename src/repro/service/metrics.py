@@ -146,8 +146,8 @@ class MetricsCollector:
     def on_arrival(self, request: Request, now: float) -> None:
         """A request entered the system."""
         self.arrivals += 1
-        self._outstanding += 1
-        self.queue.update(now, self._outstanding)
+        self._outstanding = outstanding = self._outstanding + 1
+        self.queue.update(now, outstanding)
 
     def on_completion(self, request: Request, now: float, service_s: float = None) -> None:
         """A request's block was delivered.
@@ -158,15 +158,18 @@ class MetricsCollector:
         """
         request.completion_s = now
         self.total_completed += 1
-        self._outstanding -= 1
-        self.queue.update(now, self._outstanding)
+        self._outstanding = outstanding = self._outstanding - 1
+        self.queue.update(now, outstanding)
         if now >= self.warmup_s:
             self.completed_after_warmup += 1
-            self.response.add(request.response_s)
-            self.response_hist.add(request.response_s)
+            # The float ``request.response_s`` returns, computed once.
+            response_s = now - request.arrival_s
+            self.response.add(response_s)
+            self.response_hist.add(response_s)
             if service_s is not None:
-                self.waiting.add(max(0.0, request.response_s - service_s))
-            if request.deadline_s is not None and now > request.deadline_s:
+                self.waiting.add(max(0.0, response_s - service_s))
+            deadline_s = request.deadline_s
+            if deadline_s is not None and now > deadline_s:
                 self.late_completions += 1
 
     def on_fault(self, kind: str, now: float) -> None:

@@ -39,6 +39,13 @@ A failed drive releases its tape, so surviving drives can pick up its
 re-queued sweep while it is repaired.  Without an injector every fault
 branch is skipped outright, so fault-free runs are bit-identical to the
 pre-fault simulator.
+
+Every block read runs the same short path: one ``Jukebox.access``, one
+``MetricsCollector.on_drive_busy``, the yield, and ``_deliver``, which
+completes the coalesced requests and replenishes a closed population.
+The drive process looks up what that path needs once when it starts,
+and the tracer is called only when one is attached.  The cold paths
+(exchange, faults, backoff, repair) go through ``_timed`` and ``_log``.
 """
 
 from __future__ import annotations
@@ -189,9 +196,10 @@ class JukeboxSimulator:
         progress; that drive's incremental scheduler absorbs or defers
         it.  With no sweep in progress it joins the pending list.
         """
-        self.metrics.on_arrival(request, self.env.now)
+        now = self.env._now
+        self.metrics.on_arrival(request, now)
         if self.obs is not None:
-            self.obs.on_arrival(request, self.env.now)
+            self.obs.on_arrival(request, now)
         if self.qos is not None and not self.qos.admit(request, len(self.pending)):
             # Shed at the boundary: the request never reaches the
             # pending list or the schedulers.  Shed requests do not
@@ -217,6 +225,8 @@ class JukeboxSimulator:
         self._wake_idle_drives()
 
     def _wake_idle_drives(self) -> None:
+        if not any(self._wakeups):
+            return  # no drive is idle
         for drive, wakeup in enumerate(self._wakeups):
             if wakeup is not None:
                 wakeup.succeed()
@@ -262,15 +272,28 @@ class JukeboxSimulator:
         return duration_s
 
     def _drive_process(self, drive: int):
-        """The paper's four-step service loop for one drive."""
+        """The paper's four-step service loop for one drive.
+
+        What the read path uses is looked up once, when the process
+        starts: within one run, never across runs, so instance patches
+        and class wrappers made before :meth:`run` are still seen.  The
+        read path yields exactly what ``_timed`` would return, so the
+        event sequence is unchanged.
+        """
         context = self.contexts[drive]
         scheduler = self.schedulers[drive]
         jukebox = self.bays[drive]
         pending = self.pending
         block_mb = self.catalog.block_mb
+        env = self.env
+        faults = self.faults
+        qos = self.qos
+        obs = self.obs
+        on_drive_busy = self.metrics.on_drive_busy
+        deliver = self._deliver
         while True:
-            if self.faults is not None:
-                if self.faults.drive_failure_due(drive, self.env.now):
+            if faults is not None:
+                if faults.drive_failure_due(drive, env.now):
                     yield from self._repair_drive(drive)
                     continue
                 # Requests whose every known copy is gone can never be
@@ -279,7 +302,7 @@ class JukeboxSimulator:
 
             # Expiry-on-dequeue: purge requests whose TTL has already
             # passed so the scheduler never plans undeliverable work.
-            if self.qos is not None and len(pending):
+            if qos is not None and len(pending):
                 self._expire_from_pending()
 
             # Step 1: major reschedule; step 4: idle-wait for work.
@@ -289,23 +312,21 @@ class JukeboxSimulator:
                 # Anything still pending is on other drives' tapes, or
                 # has no live copy left: the top of the loop fails the
                 # latter, unless nothing is readable at all.
-                if not pending.lost() or self.faults.all_blocks_lost():
-                    idle_start = self.env.now
-                    self._wakeups[drive] = self.env.event()
+                if not pending.lost() or faults.all_blocks_lost():
+                    idle_start = env.now
+                    self._wakeups[drive] = env.event()
                     yield self._wakeups[drive]
-                    idle_s = self.env.now - idle_start
+                    idle_s = env.now - idle_start
                     self._log("idle", drive, idle_start, idle_s)
                 continue
-            if self.faults is not None and self.faults.tape_failed(decision.tape_id):
+            if faults is not None and faults.tape_failed(decision.tape_id):
                 # Backstop for schedulers that plan outside the masked
                 # pending view (envelope): fail over the whole decision.
                 for entry in decision.entries:
                     self._resolve_replica_failure(drive, entry)
                 continue
-            if self.obs is not None:
-                self.obs.on_decision(
-                    self.env.now, drive, scheduler.name, decision, len(pending)
-                )
+            if obs is not None:
+                obs.on_decision(env.now, drive, scheduler.name, decision, len(pending))
 
             # Step 2: switch tapes if necessary.  The service list exists
             # during the switch so arriving requests can be inserted.
@@ -317,23 +338,21 @@ class JukeboxSimulator:
                 mounted = yield from self._exchange(drive, decision.tape_id)
                 if not mounted:
                     continue  # the abandoned exchange retired the sweep
-                if self.obs is not None:
-                    self.obs.on_exchange(
+                if obs is not None:
+                    obs.on_exchange(
                         (
                             request
                             for entry in decision.entries
                             for request in entry.requests
                         ),
-                        self.env.now,
+                        env.now,
                     )
 
             # Step 3: execute the service list as one sweep.
             tape_id = decision.tape_id
             drive_failed = False
             while not service.is_empty:
-                if self.faults is not None and self.faults.drive_failure_due(
-                    drive, self.env.now
-                ):
+                if faults is not None and faults.drive_failure_due(drive, env.now):
                     # The drive died mid-sweep: the unread remainder goes
                     # back to the pending list, for another drive or for
                     # this one after repair (nothing was lost).
@@ -344,10 +363,8 @@ class JukeboxSimulator:
                     drive_failed = True
                     break
                 entry = service.pop_next()
-                if self.qos is not None:
-                    live, expired = self.qos.split_expired(
-                        entry.requests, self.env.now
-                    )
+                if qos is not None:
+                    live, expired = qos.split_expired(entry.requests, env.now)
                     if expired:
                         for request in expired:
                             self._expire_request(request)
@@ -357,36 +374,36 @@ class JukeboxSimulator:
                             service.finish_in_flight()
                             continue
                         entry.requests[:] = live
-                read_start = self.env.now
+                read_start = env.now
                 duration = jukebox.access(entry.position_mb, block_mb)
-                yield self._timed(duration)
-                self._log(
-                    "read",
-                    drive,
-                    read_start,
-                    duration,
-                    tape_id=tape_id,
-                    position_mb=entry.position_mb,
-                    block_id=entry.block_id,
-                )
+                on_drive_busy(read_start, duration)
+                yield duration
+                if obs is not None:
+                    obs.on_op(
+                        drive,
+                        "read",
+                        read_start,
+                        duration,
+                        tape_id=tape_id,
+                        position_mb=entry.position_mb,
+                        block_id=entry.block_id,
+                    )
                 fault = (
-                    self.faults.read_fault(tape_id, entry.block_id)
-                    if self.faults is not None
+                    faults.read_fault(tape_id, entry.block_id)
+                    if faults is not None
                     else None
                 )
                 if fault is None:
                     service.finish_in_flight()
-                    self._deliver(
-                        entry, duration, locate_s=jukebox.drive.last_locate_s
-                    )
+                    deliver(entry, duration, jukebox.drive.last_locate_s)
                 else:
                     yield from self._recover_read(drive, entry, fault)
                     service.finish_in_flight()
 
             context.service = None
             scheduler.on_sweep_complete(context)
-            if self.qos is not None:
-                self.qos.on_progress(len(pending))
+            if qos is not None:
+                qos.on_progress(len(pending))
             if drive_failed:
                 yield from self._repair_drive(drive)
 
@@ -526,14 +543,23 @@ class JukeboxSimulator:
     def _deliver(
         self, entry: ServiceEntry, service_s: float, locate_s: float = 0.0
     ) -> None:
-        """Complete every request coalesced onto a successful read."""
+        """Complete every request coalesced onto a successful read.
+
+        Replenishes a closed population as :meth:`_replenish` does,
+        inlined; the clock cannot move while this runs.
+        """
+        now = self.env.now
+        on_completion = self.metrics.on_completion
+        obs = self.obs
+        source = self.source
         for request in entry.requests:
-            self.metrics.on_completion(request, self.env.now, service_s=service_s)
-            if self.obs is not None:
-                self.obs.on_complete(
-                    request, self.env.now, locate_s, service_s - locate_s
-                )
-            self._replenish()
+            on_completion(request, now, service_s=service_s)
+            if obs is not None:
+                obs.on_complete(request, now, locate_s, service_s - locate_s)
+            if source.is_closed:
+                replacement = source.on_completion(now)
+                if replacement is not None:
+                    self.submit(replacement)
 
     def _replenish(self) -> None:
         """A request left the system: keep a closed population constant."""

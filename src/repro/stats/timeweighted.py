@@ -30,9 +30,17 @@ class TimeWeightedStats:
     def update(self, now: float, value: float) -> None:
         """Record that the signal takes ``value`` from time ``now`` onward."""
         now = float(now)
-        if now < self._last_time:
-            raise ValueError(f"time went backwards: {now} < {self._last_time}")
-        self._accumulate(now)
+        last_time = self._last_time
+        if now < last_time:
+            raise ValueError(f"time went backwards: {now} < {last_time}")
+        # _accumulate(now), inlined: the same expressions in the same order.
+        span = now - last_time
+        if span > 0:
+            last_value = self._last_value
+            self._weighted_sum += span * last_value
+            self._weighted_sq_sum += span * last_value * last_value
+            self._elapsed += span
+        self._last_time = now
         self._last_value = float(value)
         if self._min is None or value < self._min:
             self._min = float(value)

@@ -6,6 +6,11 @@ seconds.  The simulation layer (:mod:`repro.service.simulator`) turns the
 durations into simulated time by yielding timeouts, so the same drive
 model also serves the analytic cost calculations in
 :mod:`repro.core.cost` without any simulator.
+
+:meth:`TapeDrive.access`, the service loop's one call per block read,
+is :meth:`~TapeDrive.locate` then :meth:`~TapeDrive.read` fused into one
+method: one loaded-tape check, the same timing-model calls in the same
+order, and the same floats and counters.
 """
 
 from __future__ import annotations
@@ -64,7 +69,8 @@ class TapeDrive:
     @property
     def mounted_id(self) -> Optional[int]:
         """The mounted tape's id, or ``None`` when empty."""
-        return self.mounted.tape_id if self.mounted else None
+        mounted = self.mounted
+        return None if mounted is None else mounted.tape_id
 
     def _require_loaded(self) -> Tape:
         if self.mounted is None:
@@ -113,8 +119,44 @@ class TapeDrive:
         return seconds
 
     def access(self, position_mb: float, size_mb: float) -> float:
-        """Locate to ``position_mb`` then read ``size_mb``; return total time."""
-        return self.locate(position_mb) + self.read(size_mb)
+        """Locate to ``position_mb`` then read ``size_mb``; return total time.
+
+        One pass doing exactly what :meth:`locate` followed by
+        :meth:`read` does, in the same order: the same timing-model
+        calls (so a noisy model draws the same jitters), the same state
+        committed before either extent check can raise, and the same
+        sum ``locate_s + read_s``.
+        """
+        tape = self.mounted
+        if tape is None:
+            raise DriveStateError("operation requires a mounted tape")
+        tape.validate_extent(position_mb, 0.0)
+        timing = self.timing
+        head = self.head_mb
+        locate_s = timing.locate(head, position_mb)
+        if position_mb > head:
+            self.last_motion = Direction.FORWARD
+            self.read_startup_pending = startup = True
+        elif position_mb < head:
+            self.last_motion = Direction.REVERSE
+            self.read_startup_pending = startup = False
+        else:
+            # Zero distance: streaming continues, the flag is unchanged.
+            startup = self.read_startup_pending
+        self.head_mb = position_mb
+        self.last_locate_s = locate_s
+        counters = self.counters
+        counters.locate_s += locate_s
+        if locate_s > 0:
+            counters.locates += 1
+        tape.validate_extent(position_mb, size_mb)
+        read_s = timing.read(size_mb, startup=startup)
+        self.head_mb = position_mb + size_mb
+        self.last_motion = Direction.FORWARD
+        self.read_startup_pending = False
+        counters.read_s += read_s
+        counters.reads += 1
+        return locate_s + read_s
 
     # ------------------------------------------------------------------
     # Mount management

@@ -31,12 +31,14 @@ class HotColdSkew:
     def draw_block(self, rng: random.Random, catalog: BlockCatalog) -> int:
         """Draw one logical block id according to the skew."""
         want_hot = rng.random() < self.percent_requests_hot / 100.0
-        if want_hot and catalog.n_hot > 0:
-            return rng.randrange(catalog.n_hot)
-        if catalog.n_cold > 0:
-            return catalog.n_hot + rng.randrange(catalog.n_cold)
-        if catalog.n_hot > 0:  # degenerate all-hot catalog
-            return rng.randrange(catalog.n_hot)
+        n_hot = catalog.n_hot
+        if want_hot and n_hot > 0:
+            return rng.randrange(n_hot)
+        n_cold = catalog.n_cold
+        if n_cold > 0:
+            return n_hot + rng.randrange(n_cold)
+        if n_hot > 0:  # degenerate all-hot catalog
+            return rng.randrange(n_hot)
         raise ValueError("catalog has no blocks to request")
 
 

@@ -228,15 +228,36 @@ class ReferenceEnvelopeComputer:
 # Scenario generation
 # ----------------------------------------------------------------------
 def random_catalog(rng: random.Random, tape_count: int, n_blocks: int) -> BlockCatalog:
-    """Blocks with 1..3 copies at distinct integer positions per tape."""
+    """Blocks with 1..3 copies at distinct integer positions per tape.
+
+    A position already taken on a tape is redrawn, so 1 MB blocks never
+    overlap and a catalog without collisions draws what it always drew.
+    """
+    used: Dict[int, set] = {}
     replicas_by_block = []
     for _ in range(n_blocks):
         degree = rng.choice([1, 1, 2, 2, 3])
         tapes = rng.sample(range(tape_count), min(degree, tape_count))
-        replicas_by_block.append(
-            [Replica(tape_id, float(rng.randrange(0, 200))) for tape_id in tapes]
-        )
+        replicas = []
+        for tape_id in tapes:
+            taken = used.setdefault(tape_id, set())
+            position = rng.randrange(0, 200)
+            while position in taken:
+                position = rng.randrange(0, 200)
+            taken.add(position)
+            replicas.append(Replica(tape_id, float(position)))
+        replicas_by_block.append(replicas)
     return BlockCatalog(block_mb=1.0, n_hot=0, replicas_by_block=replicas_by_block)
+
+
+def assert_positions_distinct(catalog: BlockCatalog) -> None:
+    """No two blocks share a position on one tape."""
+    seen = set()
+    for block_id in range(catalog.n_blocks):
+        for replica in catalog.replicas_of(block_id):
+            key = (replica.tape_id, replica.position_mb)
+            assert key not in seen, f"two blocks at {key}"
+            seen.add(key)
 
 
 def random_requests(rng: random.Random, n_blocks: int, count: int) -> List[Request]:
@@ -302,6 +323,7 @@ def test_optimized_matches_reference(
     assert tracked == (timing is TRACKED_EXB_8505XL)
     rng = random.Random(seed)
     catalog = random_catalog(rng, tape_count, n_blocks)
+    assert_positions_distinct(catalog)
     requests = random_requests(rng, n_blocks, n_requests)
     kwargs = dict(
         timing=timing,
@@ -320,6 +342,7 @@ def test_computer_is_reusable_across_calls():
     """Per-compute caches must not leak between compute() calls."""
     rng = random.Random(11)
     catalog = random_catalog(rng, 6, 40)
+    assert_positions_distinct(catalog)
     computer = EnvelopeComputer(
         timing=EXB_8505XL,
         catalog=catalog,
@@ -345,6 +368,7 @@ def test_compute_does_not_copy_or_mutate_the_input():
     """Satellite contract: compute() takes the caller's list as-is."""
     rng = random.Random(21)
     catalog = random_catalog(rng, 4, 20)
+    assert_positions_distinct(catalog)
     requests = random_requests(rng, 20, 15)
     snapshot = list(requests)
     EnvelopeComputer(
