@@ -12,12 +12,10 @@ The package is organized as substrates plus the paper's contribution:
 * :mod:`repro.core` — the scheduling algorithms (FIFO, static, dynamic,
   and the envelope-extension algorithm);
 * :mod:`repro.service` — the four-step service model simulator;
-* :mod:`repro.federation` — multi-library fleets behind a global
-  scheduler tier with cross-library replication;
 * :mod:`repro.experiments` — configs, runs, and per-figure regeneration;
 * :mod:`repro.analysis` — cost-performance model and Theorem-2 helpers.
 
-Quickstart (one run surface for every config kind)::
+Quickstart (one run surface)::
 
     from repro import ExperimentConfig, run
 
@@ -26,27 +24,19 @@ Quickstart (one run surface for every config kind)::
         start_position=1.0, queue_length=60, horizon_s=200_000,
     ))
     print(result.report)
-
-``run`` also accepts :class:`repro.service.farm.FarmConfig` and
-:class:`repro.federation.FederationConfig`.
 """
 
 from .api import run
 from .experiments.config import ExperimentConfig
 from .experiments.runner import ExperimentResult, build_simulator
-from .federation import FederationConfig, LibraryConfig
 from .layout.placement import Layout, PlacementSpec
-from .service.farm import FarmConfig
 
 __version__ = "1.0.0"
 
 __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
-    "FarmConfig",
-    "FederationConfig",
     "Layout",
-    "LibraryConfig",
     "PlacementSpec",
     "build_simulator",
     "run",

@@ -112,18 +112,15 @@ def _catalog_warm_entries(configs, limit: int = 64) -> list:
 
     Mirrors the ``(spec, tape_count, capacity_mb, data_blocks,
     replicas)`` key of ``repro.experiments.runner._cached_catalog`` for
-    every :class:`ExperimentConfig` in ``configs`` (farm/federation
-    configs carry their own nested placement and are skipped — their
-    points warm on demand).  Capped at ``limit`` (the runner cache
-    size): warming more than the cache can hold would evict itself.
+    every :class:`ExperimentConfig` in ``configs``.  Capped at
+    ``limit`` (the runner cache size): warming more than the cache can
+    hold would evict itself.
     """
     from ..layout.placement import PlacementSpec
 
     entries: list = []
     seen = set()
     for config in configs:
-        if not isinstance(config, ExperimentConfig):
-            continue
         try:
             spec = PlacementSpec(
                 layout=config.layout,
@@ -235,8 +232,7 @@ class Campaign:
         progress: optional per-point callback (see
             :class:`~repro.campaign.progress.ProgressEvent`).
         runner: the function executed per config.  Must be picklable
-            when ``jobs > 1`` (the default, :func:`repro.api.run`, is;
-            it dispatches experiment, farm, and federation configs).
+            when ``jobs > 1`` (the default, :func:`repro.api.run`, is).
         salt: cache-key code-version salt (see
             :data:`~repro.campaign.hashing.CODE_VERSION`).
         point_timeout_s: wall-clock budget per executed point; a point
@@ -351,9 +347,8 @@ class Campaign:
             self.cache = ResultCache(cache_dir, salt=salt, metrics=self.metrics)
         self.progress = progress
         if runner is None:
-            # The unified facade: experiment, farm, and federation
-            # configs all execute through one picklable entry point.
-            # Imported lazily — repro.api sits above this package.
+            # The run surface, one picklable entry point.  Imported
+            # lazily — repro.api sits above this package.
             from ..api import run
 
             runner = run

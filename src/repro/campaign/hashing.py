@@ -15,12 +15,7 @@ import hashlib
 import json
 
 from ..experiments.config import ExperimentConfig
-from ..experiments.store import (
-    config_to_dict,
-    farm_config_to_dict,
-    federation_config_to_dict,
-    schema_fingerprint,
-)
+from ..experiments.store import config_to_dict, schema_fingerprint
 
 #: Salt mixed into every cache key.  Bump when simulation semantics
 #: change without a dataclass field changing (scheduler fixes, timing
@@ -28,23 +23,15 @@ from ..experiments.store import (
 CODE_VERSION = "sim-2026.10-abandon-sweep"
 
 
-def _config_payload(config) -> dict:
-    """The canonical dict of any config kind, tagged with its kind.
+def _config_payload(config: ExperimentConfig) -> dict:
+    """The canonical dict of an experiment config, tagged with its kind.
 
-    The kind tag keeps the address spaces disjoint: an experiment and a
-    (hypothetical) farm serializing to the same field dict can never
-    collide in the cache.
+    The ``"kind": "experiment"`` tag predates the single run kind; it
+    stays so the canonical JSON of every experiment is unchanged.
     """
-    from ..federation.config import FederationConfig
-    from ..service.farm import FarmConfig
-
-    if isinstance(config, ExperimentConfig):
-        return {"kind": "experiment", "config": config_to_dict(config)}
-    if isinstance(config, FarmConfig):
-        return {"kind": "farm", "config": farm_config_to_dict(config)}
-    if isinstance(config, FederationConfig):
-        return {"kind": "federation", "config": federation_config_to_dict(config)}
-    raise TypeError(f"cannot hash config of type {type(config).__name__}")
+    if not isinstance(config, ExperimentConfig):
+        raise TypeError(f"cannot hash config of type {type(config).__name__}")
+    return {"kind": "experiment", "config": config_to_dict(config)}
 
 
 def canonical_config_json(config) -> str:
@@ -58,8 +45,7 @@ def config_digest(config, salt: str = CODE_VERSION) -> str:
     """The SHA-256 content address of ``config`` under ``salt``.
 
     Stable across processes and interpreter restarts; sensitive to every
-    config field, to the config kind (experiment / farm / federation),
-    to the dataclass schema, and to the salt.
+    config field, to the dataclass schema, and to the salt.
     """
     material = "\n".join((salt, schema_fingerprint(), canonical_config_json(config)))
     return hashlib.sha256(material.encode("utf-8")).hexdigest()

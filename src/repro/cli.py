@@ -6,15 +6,13 @@ Examples::
     tape-jukebox sweep --scheduler fifo --jobs 4 --progress
     tape-jukebox run --scheduler envelope-max-bandwidth --replicas 9 \\
         --layout vertical --start-position 1.0 --queue 60
-    tape-jukebox federate --libraries 2 --drives 1,2 --speedups 1,2 \\
-        --policy predicted-service --sweep-replicas 0,1
     tape-jukebox list
 
-The ``sweep``, ``figure``, ``run``, and ``federate`` subcommands share
-one campaign parser fragment: ``--jobs N`` fans simulations out over N
-worker processes, ``--cache-dir`` enables the content-addressed result
-cache (default: ``$REPRO_CACHE_DIR`` when set), ``--no-cache`` disables
-it, and ``--progress`` prints one line per finished point to stderr.
+The ``sweep``, ``figure``, and ``run`` subcommands share one campaign
+parser fragment: ``--jobs N`` fans simulations out over N worker
+processes, ``--cache-dir`` enables the content-addressed result cache
+(default: ``$REPRO_CACHE_DIR`` when set), ``--no-cache`` disables it,
+and ``--progress`` prints one line per finished point to stderr.
 """
 
 from __future__ import annotations
@@ -327,64 +325,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="comma-separated closed-queueing lengths",
     )
 
-    federate_parser = subparsers.add_parser(
-        "federate",
-        help="simulate a multi-library federation behind a global scheduler",
-        parents=[campaign_parent],
-    )
-    federate_parser.add_argument(
-        "--libraries", type=int, default=2, metavar="N",
-        help="number of libraries in the fleet (default: 2)",
-    )
-    federate_parser.add_argument(
-        "--drives", default="1", metavar="N,N,...",
-        help="drives per library: one value for all, or one per library",
-    )
-    federate_parser.add_argument(
-        "--tapes", default="10", metavar="N,N,...",
-        help="tapes per library: one value for all, or one per library",
-    )
-    federate_parser.add_argument(
-        "--speedups", default="1.0", metavar="X,X,...",
-        help="drive speedups per library: one value for all, or one per library",
-    )
-    federate_parser.add_argument(
-        "--technologies", default="helical", metavar="T,T,...",
-        help="drive technology (helical|serpentine) per library",
-    )
-    federate_parser.add_argument(
-        "--policy", default="round-robin",
-        help="global routing policy (see `tape-jukebox list`)",
-    )
-    federate_parser.add_argument(
-        "--placement", choices=("home", "spread"), default="spread",
-        help="where each hot block's extra copies live: inside its home "
-        "library or spread over other libraries (default: spread)",
-    )
-    federate_parser.add_argument(
-        "--fleet-replicas", type=int, default=0, metavar="NR",
-        help="extra copies of each hot block at fleet level (default: 0)",
-    )
-    federate_parser.add_argument("--scheduler", default="dynamic-max-bandwidth")
-    federate_parser.add_argument("--percent-hot", type=float, default=10.0)
-    federate_parser.add_argument(
-        "--percent-requests-hot", type=float, default=40.0
-    )
-    federate_parser.add_argument("--block-mb", type=float, default=16.0)
-    federate_parser.add_argument(
-        "--queue", type=int, default=60, help="fleet-wide closed population"
-    )
-    federate_parser.add_argument("--horizon", type=float, default=400_000.0)
-    federate_parser.add_argument("--seed", type=int, default=42)
-    federate_parser.add_argument(
-        "--routing-samples", type=int, default=4096, metavar="N",
-        help="requests the routing phase draws to estimate per-library load",
-    )
-    federate_parser.add_argument(
-        "--sweep-replicas", default=None, metavar="NR,NR,...",
-        help="run one federation point per replication degree and tabulate",
-    )
-
     lifecycle_parser = subparsers.add_parser(
         "lifecycle", help="plan layouts for the Section 4.8 filling lifecycle"
     )
@@ -537,9 +477,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="cache directory (default: $REPRO_CACHE_DIR)",
     )
 
-    subparsers.add_parser(
-        "list", help="list available schedulers and global routing policies"
-    )
+    subparsers.add_parser("list", help="list available schedulers")
 
     args = parser.parse_args(argv)
 
@@ -567,16 +505,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "list":
-        # Both scheduler families come from the same registry pattern:
-        # local schedulers from repro.core.registry, global routing
-        # policies from repro.federation.registry.
-        from .federation.registry import global_policy_names
-
-        print("local schedulers:")
+        print("schedulers:")
         for name in scheduler_names():
-            print(f"  {name}")
-        print("global policies:")
-        for name in global_policy_names():
             print(f"  {name}")
         return 0
 
@@ -723,84 +653,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"error: {error}", file=sys.stderr)
             return _campaign_epilogue(campaign, args, error=error) or 1
         print(format_parametric_series(args.scheduler, points))
-        return _campaign_epilogue(campaign, args)
-
-    if args.command == "federate":
-        from .campaign import CampaignPointError
-        from .federation import FederationConfig, LibraryConfig
-        from .report.text import format_table
-
-        def _per_library(raw: str, cast, flag: str) -> list:
-            values = [cast(piece) for piece in raw.split(",") if piece]
-            if len(values) == 1:
-                return values * args.libraries
-            if len(values) != args.libraries:
-                raise SystemExit(
-                    f"{flag} needs 1 or {args.libraries} values, "
-                    f"got {len(values)}"
-                )
-            return values
-
-        drives = _per_library(args.drives, int, "--drives")
-        tapes = _per_library(args.tapes, int, "--tapes")
-        speedups = _per_library(args.speedups, float, "--speedups")
-        technologies = _per_library(args.technologies, str, "--technologies")
-        libraries = tuple(
-            LibraryConfig(
-                tape_count=tapes[index],
-                drive_count=drives[index],
-                drive_speedup=speedups[index],
-                drive_technology=technologies[index],
-            )
-            for index in range(args.libraries)
-        )
-        base = FederationConfig(
-            libraries=libraries,
-            global_policy=args.policy,
-            placement=args.placement,
-            fleet_replicas=args.fleet_replicas,
-            scheduler=args.scheduler,
-            percent_hot=args.percent_hot,
-            percent_requests_hot=args.percent_requests_hot,
-            block_mb=args.block_mb,
-            queue_length=args.queue,
-            horizon_s=args.horizon,
-            seed=args.seed,
-            routing_samples=args.routing_samples,
-        )
-        if args.sweep_replicas:
-            degrees = [
-                int(piece) for piece in args.sweep_replicas.split(",") if piece
-            ]
-            configs = [base.with_(fleet_replicas=degree) for degree in degrees]
-        else:
-            configs = [base]
-        campaign = _campaign_from_args(args)
-        try:
-            submission = campaign.submit(configs)
-            rows = []
-            for config in configs:
-                report = submission.require(config).report
-                rows.append(
-                    (
-                        f"NR-{config.fleet_replicas}/{config.placement}",
-                        f"{report.aggregate_throughput_kb_s:.1f}",
-                        f"{report.aggregate_requests_per_min:.3f}",
-                        f"{report.mean_response_s:.1f}",
-                        "/".join(str(count) for count in report.routed_requests),
-                    )
-                )
-        except KeyboardInterrupt:
-            return _interrupted_exit(campaign)
-        except CampaignPointError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return _campaign_epilogue(campaign, args, error=error) or 1
-        print(base.describe())
-        print(
-            format_table(
-                ("point", "kb_s", "req_min", "mean_resp_s", "routed"), rows
-            )
-        )
         return _campaign_epilogue(campaign, args)
 
     if args.command == "chaos":

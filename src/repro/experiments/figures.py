@@ -392,83 +392,6 @@ def figure10b(
     return data
 
 
-# ----------------------------------------------------------------------
-# Beyond the paper: fleet-level replica placement (repro.federation)
-# ----------------------------------------------------------------------
-def _fed_nr_config(
-    horizon_s: float,
-    placement: str,
-    fleet_replicas: int,
-    queue_length: int,
-) -> "FederationConfig":
-    from ..federation import FederationConfig, LibraryConfig
-
-    return FederationConfig(
-        libraries=(
-            LibraryConfig(drive_count=1, drive_speedup=0.5),
-            LibraryConfig(drive_count=3, drive_speedup=2.0),
-        ),
-        global_policy="predicted-service",
-        placement=placement,
-        fleet_replicas=fleet_replicas,
-        percent_requests_hot=80.0,
-        queue_length=queue_length,
-        horizon_s=horizon_s,
-    )
-
-
-def figure_fed_nr(
-    horizon_s: float = 200_000.0,
-    replica_counts: Sequence[int] = (0, 1),
-    queue_length: int = 60,
-    campaign=None,
-) -> FigureData:
-    """Fleet throughput vs replica count: spread vs home placement.
-
-    Not a paper figure — the paper replicates hot data *within* one
-    jukebox.  This extends its NR sweep to a heterogeneous two-library
-    federation (one slow single-drive library, one fast three-drive
-    library) at equal total copies: ``home`` keeps every copy in the
-    block's home library (the paper's placement, per library), while
-    ``spread`` pushes the copies to the *other* library so the global
-    scheduler can route hot requests to whichever library is faster.
-    With predicted-service routing and strong skew, spread wins —
-    cross-library replication converts copies into routing freedom,
-    which beats local seek locality when drive speeds differ.
-    """
-    data = FigureData(
-        figure="fed-nr",
-        title="Fleet-Level Replication: Spread vs Home Placement",
-        annotation=(
-            "FED-2 (1x0.5-drive + 3x2.0-drive) PH-10 RH-80 "
-            f"predicted-service Q-{queue_length}"
-        ),
-    )
-    grid = {
-        placement: [
-            (
-                replicas,
-                _fed_nr_config(horizon_s, placement, replicas, queue_length),
-            )
-            for replicas in replica_counts
-        ]
-        for placement in ("home", "spread")
-    }
-    submission = _campaign_or_default(campaign).submit(
-        config for row in grid.values() for _nr, config in row
-    )
-    for placement, row in grid.items():
-        results = [(nr, submission.require(config)) for nr, config in row]
-        data.series[placement] = [
-            (nr, result.report.aggregate_throughput_kb_s)
-            for nr, result in results
-        ]
-        data.series[f"{placement} resp-s"] = [
-            (nr, result.report.mean_response_s) for nr, result in results
-        ]
-    return data
-
-
 def figure_gap(
     horizon_s: float = 200_000.0,
     queue_lengths: Sequence[int] = (20, 60, 100),
@@ -506,10 +429,8 @@ def figure_gap(
 
 #: Registry used by the CLI: figure id -> generator function.
 #: Every generator accepts ``campaign=`` (10a ignores it — analytic).
-#: ``fed-nr`` goes beyond the paper: the fleet-level NR sweep of
-#: :mod:`repro.federation` (see docs/FEDERATION.md).  ``gap`` goes
-#: beyond it too: the optimality-gap matrix of :mod:`repro.analysis.gap`
-#: (see docs/SCHEDULERS.md).
+#: ``gap`` goes beyond the paper: the optimality-gap matrix of
+#: :mod:`repro.analysis.gap` (see docs/SCHEDULERS.md).
 FIGURES = {
     "3": figure3,
     "4": figure4,
@@ -520,6 +441,5 @@ FIGURES = {
     "9": figure9,
     "10a": figure10a,
     "10b": figure10b,
-    "fed-nr": figure_fed_nr,
     "gap": figure_gap,
 }

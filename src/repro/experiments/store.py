@@ -1,12 +1,11 @@
-"""Persistence of run results as JSON — experiments, farms, federations.
+"""Persistence of experiment results as JSON.
 
 Long parameter sweeps are expensive; storing results lets analyses and
 documents (EXPERIMENTS.md) be regenerated without re-simulating.  The
 format is a stable, versioned JSON document: the config's fields plus
-the metric report's fields, tagged with the run ``kind`` (experiment /
-farm / federation) so :func:`result_from_dict` rebuilds the right
-result type — which is what lets the campaign cache, journal, and
-resume treat all three kinds through one surface.
+the metric report's fields, tagged ``"kind": "experiment"`` — which
+is what lets the campaign cache, journal, and resume share one
+surface.
 
 Two guards make the round trip safe to use as a cache substrate
 (see :mod:`repro.campaign`):
@@ -14,11 +13,11 @@ Two guards make the round trip safe to use as a cache substrate
 * ``version`` — the container format; bumped on incompatible layout
   changes to the document itself.
 * ``schema`` — a fingerprint of the dataclass field sets
-  (:class:`ExperimentConfig`, :class:`MetricsReport`, farm and
-  federation configs, and the nested fault dataclasses).  When a field
-  is added, removed, or renamed the fingerprint changes and old
-  documents are *rejected* instead of silently loading with defaults
-  filled in for the missing fields.
+  (:class:`ExperimentConfig`, :class:`MetricsReport`, and the nested
+  fault and QoS dataclasses).  When a field is added, removed, or
+  renamed the fingerprint changes and old documents are *rejected*
+  instead of silently loading with defaults filled in for the missing
+  fields.
 """
 
 from __future__ import annotations
@@ -51,16 +50,8 @@ def schema_fingerprint() -> str:
     Any change to the fields of the config or report dataclasses (the
     payload of a stored result) changes this value, so stale documents
     fail loudly on load rather than deserializing into a dataclass
-    whose new fields silently took their defaults.  Farm and federation
-    config classes are included, so their evolution invalidates stale
-    cache entries exactly like the experiment schema does.
+    whose new fields silently took their defaults.
     """
-    # Imported here: store sits below repro.federation / repro.service
-    # in several import chains, and the fingerprint is only needed at
-    # (de)serialization time.
-    from ..federation.config import FederationConfig, LibraryConfig
-    from ..service.farm import FarmConfig
-
     parts = [
         f"{cls.__name__}:{','.join(_field_names(cls))}"
         for cls in (
@@ -69,9 +60,6 @@ def schema_fingerprint() -> str:
             FaultConfig,
             RetryPolicy,
             QoSConfig,
-            FarmConfig,
-            LibraryConfig,
-            FederationConfig,
         )
     ]
     digest = hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()
@@ -85,13 +73,14 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     return payload
 
 
-def _rebuild_nested(config_fields: dict) -> dict:
-    """Rebuild ``faults``/``qos`` sub-dicts into their dataclasses.
+def config_from_dict(payload: dict) -> ExperimentConfig:
+    """Rebuild an :class:`ExperimentConfig` from :func:`config_to_dict`.
 
-    dataclasses.asdict flattens the nested frozen dataclasses to plain
-    dicts (and JSON turns tuples into lists); shared by the experiment
-    and federation config round trips.
+    dataclasses.asdict flattens the nested frozen ``faults``/``qos``
+    dataclasses to plain dicts (and JSON turns tuples into lists), so
+    both are rebuilt here.
     """
+    config_fields = dict(payload)
     if config_fields.get("faults") is not None:
         fault_fields = dict(config_fields["faults"])
         fault_fields["retry"] = RetryPolicy(**fault_fields["retry"])
@@ -102,157 +91,52 @@ def _rebuild_nested(config_fields: dict) -> dict:
         config_fields["faults"] = FaultConfig(**fault_fields)
     if config_fields.get("qos") is not None:
         config_fields["qos"] = QoSConfig(**dict(config_fields["qos"]))
-    return config_fields
-
-
-def config_from_dict(payload: dict) -> ExperimentConfig:
-    """Rebuild an :class:`ExperimentConfig` from :func:`config_to_dict`."""
-    config_fields = _rebuild_nested(dict(payload))
     config_fields["layout"] = Layout(config_fields["layout"])
     return ExperimentConfig(**config_fields)
 
 
-# ----------------------------------------------------------------------
-# Farm round trip
-# ----------------------------------------------------------------------
-def farm_config_to_dict(config) -> dict:
-    """A JSON-ready dict of one :class:`~repro.service.farm.FarmConfig`."""
-    return {
-        "base": config_to_dict(config.base),
-        "jukebox_count": config.jukebox_count,
-        "total_queue_length": config.total_queue_length,
-    }
-
-
-def farm_config_from_dict(payload: dict):
-    """Rebuild a :class:`~repro.service.farm.FarmConfig`."""
-    from ..service.farm import FarmConfig
-
-    return FarmConfig(
-        base=config_from_dict(payload["base"]),
-        jukebox_count=payload["jukebox_count"],
-        total_queue_length=payload["total_queue_length"],
-    )
-
-
-# ----------------------------------------------------------------------
-# Federation round trip
-# ----------------------------------------------------------------------
-def federation_config_to_dict(config) -> dict:
-    """A JSON-ready dict of one federation configuration."""
-    payload = dataclasses.asdict(config)
-    payload["layout"] = config.layout.value
-    return payload
-
-
-def federation_config_from_dict(payload: dict):
-    """Rebuild a :class:`~repro.federation.config.FederationConfig`."""
-    from ..federation.config import FederationConfig, LibraryConfig
-
-    config_fields = _rebuild_nested(dict(payload))
-    config_fields["layout"] = Layout(config_fields["layout"])
-    config_fields["libraries"] = tuple(
-        LibraryConfig(**dict(library)) for library in config_fields["libraries"]
-    )
-    return FederationConfig(**config_fields)
-
-
-# ----------------------------------------------------------------------
-# Kind-tagged result documents
-# ----------------------------------------------------------------------
-def result_to_dict(result) -> dict:
-    """A JSON-ready dict of one run result (any kind).
-
-    The document is tagged with ``"kind"``: ``"experiment"`` (the
-    historical default), ``"farm"``, or ``"federation"``; traces are
-    never persisted.
-    """
-    from ..federation.runner import FederationResult
-    from ..service.farm import FarmResult
-
-    envelope = {
-        "version": FORMAT_VERSION,
-        "schema": schema_fingerprint(),
-    }
-    if isinstance(result, ExperimentResult):
-        envelope["kind"] = "experiment"
-        envelope["config"] = config_to_dict(result.config)
-        envelope["report"] = dataclasses.asdict(result.report)
-    elif isinstance(result, FarmResult):
-        envelope["kind"] = "farm"
-        envelope["config"] = farm_config_to_dict(result.config)
-        envelope["report"] = {
-            "per_jukebox": [
-                dataclasses.asdict(report)
-                for report in result.report.per_jukebox
-            ],
-        }
-    elif isinstance(result, FederationResult):
-        envelope["kind"] = "federation"
-        envelope["config"] = federation_config_to_dict(result.config)
-        envelope["report"] = {
-            "per_library": [
-                dataclasses.asdict(report)
-                for report in result.report.per_library
-            ],
-            "routed_requests": list(result.report.routed_requests),
-            "policy": result.report.policy,
-        }
-    else:
+def result_to_dict(result: ExperimentResult) -> dict:
+    """A JSON-ready dict of one experiment result (traces never persist)."""
+    if not isinstance(result, ExperimentResult):
         raise TypeError(
             f"cannot serialize result of type {type(result).__name__}"
         )
-    return envelope
+    return {
+        "version": FORMAT_VERSION,
+        "schema": schema_fingerprint(),
+        "kind": "experiment",
+        "config": config_to_dict(result.config),
+        "report": dataclasses.asdict(result.report),
+    }
 
 
-def result_from_dict(payload: dict):
-    """Rebuild a run result (any kind) from a stored dict.
+def result_from_dict(payload: dict) -> ExperimentResult:
+    """Rebuild an experiment result from a stored dict.
 
     Raises :class:`ValueError` when the document was written by an
-    incompatible format version or a different dataclass schema.
-    Documents without a ``"kind"`` tag are experiments (the only kind
-    earlier formats could store).
+    incompatible format version, holds a run kind other than
+    ``"experiment"`` (earlier versions also stored fleet kinds, whose
+    code is retired), or was written under a different dataclass
+    schema.  Documents without a ``"kind"`` tag are experiments.
     """
     version = payload.get("version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported result format version {version!r}")
+    kind = payload.get("kind", "experiment")
+    if kind != "experiment":
+        raise ValueError(
+            f"cannot load a {kind!r} result: 'experiment' is the only "
+            f"run kind (the fleet kinds are retired)"
+        )
     schema = payload.get("schema")
     if schema != schema_fingerprint():
         raise ValueError(
             f"result schema mismatch: stored {schema!r}, "
             f"current {schema_fingerprint()!r}"
         )
-    kind = payload.get("kind", "experiment")
-    if kind == "experiment":
-        config = config_from_dict(payload["config"])
-        report = MetricsReport(**payload["report"])
-        return ExperimentResult(config=config, report=report)
-    if kind == "farm":
-        from ..service.farm import FarmReport, FarmResult
-
-        config = farm_config_from_dict(payload["config"])
-        report = FarmReport(
-            per_jukebox=[
-                MetricsReport(**fields)
-                for fields in payload["report"]["per_jukebox"]
-            ]
-        )
-        return FarmResult(config=config, report=report)
-    if kind == "federation":
-        from ..federation.report import FederationReport
-        from ..federation.runner import FederationResult
-
-        config = federation_config_from_dict(payload["config"])
-        report = FederationReport(
-            per_library=[
-                MetricsReport(**fields)
-                for fields in payload["report"]["per_library"]
-            ],
-            routed_requests=tuple(payload["report"]["routed_requests"]),
-            policy=payload["report"]["policy"],
-        )
-        return FederationResult(config=config, report=report)
-    raise ValueError(f"unknown result kind {kind!r}")
+    config = config_from_dict(payload["config"])
+    report = MetricsReport(**payload["report"])
+    return ExperimentResult(config=config, report=report)
 
 
 def save_results(results: List[ExperimentResult], path: Union[str, Path]) -> None:

@@ -37,7 +37,7 @@ class RandomStreams:
         return generator
 
     def fork(self, name: str) -> "RandomStreams":
-        """A child stream space, e.g. one per jukebox in a farm."""
+        """A child stream space, independent of this one's named streams."""
         return RandomStreams(derive_seed(self.root_seed, f"fork:{name}"))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -23,17 +23,14 @@ class TestCanonicalJson:
         for field in dataclasses.fields(ExperimentConfig):
             assert field.name in rendered["config"]
 
-    def test_kind_keeps_address_spaces_disjoint(self):
-        from repro.federation import FederationConfig, LibraryConfig
-
-        experiment = canonical_config_json(ExperimentConfig())
-        federation = canonical_config_json(
-            FederationConfig(libraries=(LibraryConfig(),), queue_length=60)
-        )
+    def test_experiment_payload_keeps_its_kind_tag(self):
+        """The tag outlived the other run kinds; dropping it would move
+        every experiment's canonical JSON and cache address."""
         import json
 
-        assert json.loads(federation)["kind"] == "federation"
-        assert experiment != federation
+        rendered = json.loads(canonical_config_json(ExperimentConfig(seed=7)))
+        assert set(rendered) == {"config", "kind"}
+        assert rendered["kind"] == "experiment"
 
 
 class TestConfigDigest:

@@ -19,7 +19,6 @@ from repro.experiments.figures import (
     figure8,
     figure9,
     figure10b,
-    figure_fed_nr,
 )
 
 TINY = 5_000.0
@@ -90,26 +89,10 @@ class TestFigure10b:
         assert 9 in curve
 
 
-class TestFigureFedNr:
-    def test_placement_series_with_shared_baseline(self):
-        data = figure_fed_nr(horizon_s=TINY, replica_counts=(0,), queue_length=10)
-        assert data.labels() == [
-            "home",
-            "home resp-s",
-            "spread",
-            "spread resp-s",
-        ]
-        # NR-0 has no copies to place, so the placements coincide.
-        assert data.series["home"] == data.series["spread"]
-        ((nr, kb_s),) = data.series["home"]
-        assert nr == 0
-        assert kb_s > 0
-
-
 class TestRegistry:
     def test_every_figure_is_registered(self):
         assert set(FIGURES) == {
-            "3", "4", "5", "6", "7", "8", "9", "10a", "10b", "fed-nr", "gap",
+            "3", "4", "5", "6", "7", "8", "9", "10a", "10b", "gap",
         }
 
 

@@ -52,6 +52,40 @@ class TestResultStore:
         with pytest.raises(ValueError, match="schema"):
             result_from_dict(payload)
 
+    @pytest.mark.parametrize(
+        "kind,config,report",
+        [
+            (
+                "farm",
+                {"jukebox_count": 1, "total_queue_length": 60},
+                {"per_jukebox": []},
+            ),
+            (
+                "federation",
+                {"layout": "horizontal", "libraries": [{}]},
+                {"per_library": [], "routed_requests": [], "policy": "round-robin"},
+            ),
+        ],
+        ids=["farm", "federation"],
+    )
+    @pytest.mark.parametrize("schema", ["current", "stale"])
+    def test_retired_fleet_kinds_are_named(self, kind, config, report, schema):
+        """Farm and federation documents fail with an error naming
+        their kind, ahead of (and regardless of) the schema check."""
+        from repro.experiments.store import config_to_dict, schema_fingerprint
+
+        if kind == "farm":
+            config = {**config, "base": config_to_dict(ExperimentConfig())}
+        payload = {
+            "version": FORMAT_VERSION,
+            "schema": schema_fingerprint() if schema == "current" else "0" * 16,
+            "kind": kind,
+            "config": config,
+            "report": report,
+        }
+        with pytest.raises(ValueError, match=f"cannot load a '{kind}' result"):
+            result_from_dict(payload)
+
     def test_schema_fingerprint_is_stable(self):
         from repro.experiments.store import schema_fingerprint
 

@@ -21,7 +21,9 @@ and copies condemned on three claiming drives, and an oldest-request
 policy behind the multi-drive claim filter.  Two single-drive cases pin
 the paths the closed-loop Figure-4 point misses: robot picks exhausting
 their retries (a tape taken out of service mid-exchange) together with
-drive repairs, and open arrivals with deadline expiry.
+drive repairs, and open arrivals with deadline expiry.  One case keeps
+the default-config digest that the retired jukebox-farm and federation
+runners were pinned to.
 
 To re-pin after an *intentional* behaviour change, print fresh digests:
 
@@ -155,6 +157,12 @@ CASES = {
             media_error_rate=0.02, drive_mtbf_s=8000.0, drive_mttr_s=1200.0
         ),
     ),
+    # The member run of a 1-jukebox farm of ExperimentConfig(
+    # queue_length=24, horizon_s=50_000.0): the farm seeded member 0
+    # with derive_seed(42, "farm:0") % 2**31.
+    "pass_through_q24": ExperimentConfig(
+        queue_length=24, horizon_s=50_000.0, seed=1803153759
+    ),
 }
 
 #: sha256 of each case's report, pinned on the pre-optimization tree.
@@ -200,6 +208,11 @@ GOLDEN = {
     "open_single_drive_idle_failures": "635599b264dd38f4f0876a78995944b55f3c5d0ff4d6a7c12f5aa59c84c9503a",
     # Open arrivals on two drives with drive failures and repairs.
     "open_multidrive_drive_failures": "bcca9bdf251c217ee9a7fd2934479a6fba9f61596a106d66df5cd42d487ed2ef",
+    # Pinned on the tree that introduced the multi-library federation,
+    # whose 1-library pass-through run and the 1-jukebox farm both had
+    # to reproduce it byte for byte; both runners are retired, and this
+    # is the one plain run they reduced to.
+    "pass_through_q24": "8982dcd263ac6513fc22a596e5d8d0c120920df13455b020177694a11907b6bb",
 }
 
 
