@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Collection, Dict, Iterable, List, Optional, Set
 
 from ..layout.catalog import BlockCatalog
 from ..tape.jukebox import Jukebox
@@ -104,25 +104,35 @@ class MajorDecision:
 
 
 def coalesce_entries(
-    requests: List[Request],
+    requests: Collection[Request],
     tape_id: int,
     catalog: BlockCatalog,
+    positions: Optional[Iterable[float]] = None,
 ) -> List[ServiceEntry]:
     """Build one :class:`ServiceEntry` per distinct block on ``tape_id``.
 
     Multiple outstanding requests for the same logical block share a
-    single physical read.
+    single physical read.  Entries follow the first request of each
+    block.  ``positions``, when given, holds each request's copy position
+    on ``tape_id`` in the same order (the pending index's
+    :meth:`~repro.core.pending.PendingList.positions_on`); otherwise each
+    request's copy is looked up in ``catalog``.
     """
+    if positions is None:
+        positions = [
+            catalog.replica_on(request.block_id, tape_id).position_mb
+            for request in requests
+        ]
     by_block: Dict[int, ServiceEntry] = {}
     entries: List[ServiceEntry] = []
-    for request in requests:
-        entry = by_block.get(request.block_id)
+    for request, position_mb in zip(requests, positions):
+        block_id = request.block_id
+        entry = by_block.get(block_id)
         if entry is None:
-            replica = catalog.replica_on(request.block_id, tape_id)
-            entry = ServiceEntry(position_mb=replica.position_mb, block_id=request.block_id)
-            by_block[request.block_id] = entry
+            entry = by_block[block_id] = ServiceEntry(position_mb, block_id, [request])
             entries.append(entry)
-        entry.attach(request)
+        else:
+            entry.requests.append(request)
     return entries
 
 

@@ -45,44 +45,57 @@ def _sweep(
 
     Blocks at or beyond the head are read in ascending order, then the
     rest in descending order.  For a plain :class:`DriveTimingModel`
-    the per-block loop runs call-free on :func:`extension_constants`,
-    evaluating the exact expressions ``locate_forward``,
-    ``locate_reverse`` and ``read`` would have (``distance <= short
-    threshold`` is the segment rule of their ``bisect_left``), with the
-    sums taken in the same order, so every float is bit-identical to
-    the method-call loop that any other model (e.g. a serpentine
-    subclass) runs.
+    the per-block loop runs call-free in :func:`flat_sweep`; any other
+    model (e.g. a serpentine subclass) runs the method-call loop here,
+    and both give bit-identical floats.
     """
     ordered = sorted(positions)
-    split = bisect_left(ordered, head_mb)
-    forward = ordered[split:] if split else ordered
-    reverse = ordered[split - 1 :: -1] if split else ()
     constants = extension_constants(timing, block_mb)
+    if constants is not None:
+        return flat_sweep(constants, head_mb, ordered, block_mb, startup_pending)
+    split = bisect_left(ordered, head_mb)
     locate_s = 0.0
     read_s = 0.0
     head = head_mb
-    if constants is None:
-        locate_forward = timing.locate_forward
-        locate_reverse = timing.locate_reverse
-        read_plain_s = timing.read(block_mb, startup=False)
-        read_startup_s = timing.read(block_mb, startup=True)
-        for position in forward:
-            distance = position - head
-            if distance > 0:
-                locate_s += locate_forward(distance)
-                startup_pending = True
-            read_s += read_startup_s if startup_pending else read_plain_s
+    locate_forward = timing.locate_forward
+    locate_reverse = timing.locate_reverse
+    read_plain_s = timing.read(block_mb, startup=False)
+    read_startup_s = timing.read(block_mb, startup=True)
+    for position in ordered[split:] if split else ordered:
+        distance = position - head
+        if distance > 0:
+            locate_s += locate_forward(distance)
+            startup_pending = True
+        read_s += read_startup_s if startup_pending else read_plain_s
+        startup_pending = False
+        head = position + block_mb
+    for position in ordered[split - 1 :: -1] if split else ():
+        distance = head - position
+        if distance > 0:
+            locate_s += locate_reverse(distance, lands_on_bot=(position == 0))
             startup_pending = False
-            head = position + block_mb
-        for position in reverse:
-            distance = head - position
-            if distance > 0:
-                locate_s += locate_reverse(distance, lands_on_bot=(position == 0))
-                startup_pending = False
-            read_s += read_startup_s if startup_pending else read_plain_s
-            startup_pending = False
-            head = position + block_mb
-        return locate_s, read_s, head
+        read_s += read_startup_s if startup_pending else read_plain_s
+        startup_pending = False
+        head = position + block_mb
+    return locate_s, read_s, head
+
+
+def flat_sweep(
+    constants: ExtensionConstants,
+    head_mb: float,
+    ordered: Sequence[float],
+    block_mb: float,
+    startup_pending: bool,
+) -> Tuple[float, float, float]:
+    """:func:`_sweep` over ascending ``ordered`` positions, call-free.
+
+    Evaluates, on :func:`extension_constants`, the exact expressions
+    ``locate_forward``, ``locate_reverse`` and ``read`` would have
+    (``distance <= short threshold`` is the segment rule of their
+    ``bisect_left``), with the sums taken in the same order, so every
+    float is bit-identical to the method-call loop.  The max-bandwidth
+    policy calls it once per candidate tape.
+    """
     threshold = constants.short_threshold_mb
     forward_short_startup = constants.forward_short_startup
     forward_short_rate = constants.forward_short_rate
@@ -90,7 +103,11 @@ def _sweep(
     forward_long_rate = constants.forward_long_rate
     read_plain_s = constants.read_plain_s
     read_startup_s = constants.read_startup_s
-    for position in forward:
+    split = bisect_left(ordered, head_mb)
+    locate_s = 0.0
+    read_s = 0.0
+    head = head_mb
+    for position in ordered[split:] if split else ordered:
         distance = position - head
         if distance > 0:
             locate_s += (
@@ -102,23 +119,27 @@ def _sweep(
         read_s += read_startup_s if startup_pending else read_plain_s
         startup_pending = False
         head = position + block_mb
-    for position in reverse:
-        distance = head - position
-        if distance > 0:
-            seconds = (
-                constants.reverse_short_startup
-                + constants.reverse_short_rate * distance
-                if distance <= threshold
-                else constants.reverse_long_startup
-                + constants.reverse_long_rate * distance
-            )
-            if position == 0:
-                seconds += constants.bot_overhead_s
-            locate_s += seconds
+    if split:
+        reverse_short_startup = constants.reverse_short_startup
+        reverse_short_rate = constants.reverse_short_rate
+        reverse_long_startup = constants.reverse_long_startup
+        reverse_long_rate = constants.reverse_long_rate
+        bot_overhead_s = constants.bot_overhead_s
+        for position in ordered[split - 1 :: -1]:
+            distance = head - position
+            if distance > 0:
+                seconds = (
+                    reverse_short_startup + reverse_short_rate * distance
+                    if distance <= threshold
+                    else reverse_long_startup + reverse_long_rate * distance
+                )
+                if position == 0:
+                    seconds += bot_overhead_s
+                locate_s += seconds
+                startup_pending = False
+            read_s += read_startup_s if startup_pending else read_plain_s
             startup_pending = False
-        read_s += read_startup_s if startup_pending else read_plain_s
-        startup_pending = False
-        head = position + block_mb
+            head = position + block_mb
     return locate_s, read_s, head
 
 

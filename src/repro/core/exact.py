@@ -49,7 +49,7 @@ an exception when its node budget runs out.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Collection, List, Optional, Sequence, Tuple
 
 from ..tape.timing import DriveTimingModel
 from ..workload.requests import Request
@@ -701,14 +701,20 @@ class _BatchScheduler(Scheduler):
         # Minimizing (cost, jukebox rank) picks the same tape as planning
         # every tape and keeping the first strict minimum in jukebox order.
         options.sort(key=lambda option: option[:2])
+        # ``requests`` are the pending list's live views: read here, then
+        # handed to ``remove_many``, never kept past it.
         best: Optional[
-            Tuple[float, int, int, List[ServiceEntry], List[Request], float, float]
+            Tuple[
+                float, int, int, List[ServiceEntry], Collection[Request], float, float
+            ]
         ] = None
         for option in options:
             bound, rank, tape_id, requests, head, deferred, overhead_s = option
             if best is not None and bound > best[0] * (1.0 + _BOUND_SLACK):
                 break
-            entries = coalesce_entries(requests, tape_id, context.catalog)
+            entries = coalesce_entries(
+                requests, tape_id, context.catalog, positions_on(tape_id)
+            )
             order = self.plan(timing, head, entries, block_mb, deferred)
             charged = float(len(requests)) + deferred
             cost = overhead_s * charged + self._planned_cost(head, order, deferred)

@@ -9,11 +9,11 @@ family, and (three of them) the envelope-extension algorithm.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Collection, List, Mapping, Optional
 
 from ..tape.timing import DriveTimingModel
 from ..workload.requests import Request
-from .cost import effective_bandwidth
+from .cost import MB, effective_bandwidth, extension_constants, flat_sweep
 
 
 def jukebox_order(tape_count: int, start_at: int) -> List[int]:
@@ -28,13 +28,14 @@ def jukebox_order(tape_count: int, start_at: int) -> List[int]:
 class SelectionContext:
     """Everything a tape-selection policy may inspect.
 
-    ``candidates`` maps each tape to the pending requests it can satisfy;
-    ``positions_for`` resolves the physical positions those requests
-    would be read from on that tape (the envelope algorithm restricts
-    this to the upper envelope).  ``resolve_oldest`` returns the oldest
-    pending request; it is called only when a policy reads
-    :attr:`oldest`, so policies that ignore request age never pay for
-    it.
+    ``candidates`` maps each tape to the pending requests it can satisfy
+    (usually the pending list's live view, so a policy reads it and
+    never keeps it); ``positions_for`` resolves the physical positions
+    those requests would be read from on that tape, in the same order
+    (the envelope algorithm restricts this to the upper envelope).
+    ``resolve_oldest`` returns the oldest pending request; it is called
+    only when a policy reads :attr:`oldest`, so policies that ignore
+    request age never pay for it.
     """
 
     timing: DriveTimingModel
@@ -42,8 +43,8 @@ class SelectionContext:
     tape_count: int
     mounted_id: Optional[int]
     head_mb: float
-    candidates: Dict[int, List[Request]]
-    positions_for: Callable[[int], Sequence[float]]
+    candidates: Mapping[int, Collection[Request]]
+    positions_for: Callable[[int], Collection[float]]
     resolve_oldest: Callable[[], Optional[Request]]
 
     @property
@@ -105,18 +106,81 @@ class MaxRequests(TapeSelectionPolicy):
 
 
 class MaxBandwidth(TapeSelectionPolicy):
-    """Tape with the highest effective bandwidth for its candidate schedule."""
+    """Tape with the highest effective bandwidth for its candidate schedule.
+
+    For a plain :class:`DriveTimingModel` every candidate is priced in
+    one pass straight off ``positions_for``: the flattened constants and
+    the switch overhead are taken once per decision, and each tape costs
+    one :func:`~repro.core.cost.flat_sweep` plus the seconds and
+    bandwidth expressions of :func:`~repro.core.cost.schedule_time` and
+    :func:`~repro.core.cost.effective_bandwidth`, in the same order, so
+    every bandwidth is bit-identical.  Candidates are visited in the
+    mapping's order and ranked by jukebox order, so the first strict
+    maximum in jukebox order still wins.  Any other timing model (e.g.
+    serpentine) keeps the method calls.
+    """
 
     name = "max-bandwidth"
 
     def select(self, context: SelectionContext) -> Optional[int]:
         timing = context.timing
         block_mb = context.block_mb
+        constants = extension_constants(timing, block_mb)
+        if constants is None:
+            return self._select_by_methods(context)
+        candidates = context.candidates
+        positions_for = context.positions_for
+        mounted_id = context.mounted_id
+        head_mb = context.head_mb
+        # Switching to any unmounted tape rewinds the mounted one from
+        # the same head, so the overhead is one figure per decision.
+        switch_s = timing.switch_with_rewind(
+            head_mb if mounted_id is not None else 0.0
+        )
+        # A tape's rank in ``jukebox_order(tape_count, anchor)``, the
+        # tie-break order, is ``(tape_id - start) % tape_count``.
+        tape_count = context.tape_count
+        start = context.anchor % tape_count if tape_count > 0 else 0
+        best: Optional[int] = None
+        best_rank = 0
+        best_bandwidth = -1.0
+        for tape_id in candidates:
+            if not 0 <= tape_id < tape_count:
+                continue
+            rank = (tape_id - start) % tape_count
+            positions = positions_for(tape_id)
+            if positions:
+                if tape_id == mounted_id:
+                    locate_s, read_s, _ = flat_sweep(
+                        constants, head_mb, sorted(positions), block_mb, True
+                    )
+                    seconds = locate_s + read_s
+                else:
+                    locate_s, read_s, _ = flat_sweep(
+                        constants, 0.0, sorted(positions), block_mb, True
+                    )
+                    seconds = switch_s + (locate_s + read_s)
+                if seconds <= 0:
+                    bandwidth = float("inf")
+                else:
+                    bandwidth = len(positions) * block_mb * MB / seconds
+            elif candidates[tape_id]:
+                bandwidth = 0.0  # what ``effective_bandwidth`` charges
+            else:
+                continue
+            if bandwidth > best_bandwidth or (
+                bandwidth == best_bandwidth and rank < best_rank
+            ):
+                best, best_rank, best_bandwidth = tape_id, rank, bandwidth
+        return best
+
+    def _select_by_methods(self, context: SelectionContext) -> Optional[int]:
+        """The timing model's own methods price each tape, in jukebox order."""
+        timing = context.timing
+        block_mb = context.block_mb
         mounted_id = context.mounted_id
         head_mb = context.head_mb
         positions_for = context.positions_for
-        # Switching to any unmounted tape rewinds the mounted one from
-        # the same head, so the overhead is one figure per decision.
         switch_s = timing.switch_with_rewind(
             head_mb if mounted_id is not None else 0.0
         )

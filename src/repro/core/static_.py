@@ -57,13 +57,17 @@ class StaticScheduler(Scheduler):
         )
 
     def major_reschedule(self, context: SchedulerContext) -> Optional[MajorDecision]:
-        if len(context.pending) == 0:
+        pending = context.pending
+        if len(pending) == 0:
             return None
-        selection = self._selection_context(context)
-        tape_id = self._policy.select(selection)
+        tape_id = self._policy.select(self._selection_context(context))
         if tape_id is None:
             return None
-        chosen = selection.candidates[tape_id]
-        context.pending.remove_many(chosen)
-        entries = coalesce_entries(chosen, tape_id, context.catalog)
+        # Coalesce from the index's own positions before the removal
+        # empties the winner's views.
+        chosen = pending.requests_for_tape(tape_id)
+        entries = coalesce_entries(
+            chosen, tape_id, context.catalog, pending.positions_on(tape_id)
+        )
+        pending.remove_many(chosen)
         return MajorDecision(tape_id=tape_id, entries=entries)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import bisect
 import enum
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional
 
 from ..workload.requests import Request
@@ -31,8 +32,7 @@ class ServiceEntry:
         self.requests.append(request)
 
 
-def _position(entry: ServiceEntry) -> float:
-    return entry.position_mb
+_position = attrgetter("position_mb")
 
 
 def _negated_position(entry: ServiceEntry) -> float:
@@ -64,14 +64,17 @@ class ServiceList:
 
     def __init__(self, entries: List[ServiceEntry], head_mb: float) -> None:
         self.start_head_mb = float(head_mb)
-        self._forward: List[ServiceEntry] = sorted(
-            (entry for entry in entries if entry.position_mb >= head_mb),
-            key=_position,
-        )
-        self._reverse: List[ServiceEntry] = sorted(
-            (entry for entry in entries if entry.position_mb < head_mb),
-            key=_negated_position,
-        )
+        # One stable ascending sort: the forward phase is its tail, the
+        # reverse phase its head read backwards.  Reading backwards
+        # reverses equal positions, so only then is the head re-sorted
+        # descending, stable in the given order.
+        ordered = sorted(entries, key=_position)
+        split = bisect.bisect_left(ordered, head_mb, key=_position)
+        self._forward: List[ServiceEntry] = ordered[split:]
+        reverse = ordered[split - 1 :: -1] if split else []
+        if split > 1 and len(set(map(_position, reverse))) < split:
+            reverse = sorted(ordered[:split], key=_negated_position)
+        self._reverse: List[ServiceEntry] = reverse
         self._in_flight: Optional[ServiceEntry] = None
         #: Position of the deepest forward read started (sweep progress).
         self._forward_bound: Optional[float] = None

@@ -52,6 +52,14 @@ class FaultMaskedCatalog:
         #: The owner of the mask sets that announces their growth
         #: (a :class:`~repro.faults.injector.FaultInjector`), if any.
         self._notifier = notifier
+        if notifier is not None and not self._failed and not self._known_bad:
+            # Nothing is masked yet and masks only grow, announced by the
+            # notifier: until the first growth the replica queries are
+            # the inner catalog's own, with no per-call mask checks.
+            self.replicas_of = inner.replicas_of
+            self.replica_on = inner.replica_on
+            self.has_replica_on = inner.has_replica_on
+            notifier.add_mask_listener(self)
 
     def add_mask_listener(self, listener: object) -> None:
         """Subscribe ``listener`` to mask growth (forwarded to the notifier).
@@ -66,6 +74,19 @@ class FaultMaskedCatalog:
                 "notifier=<the FaultInjector owning its masks>"
             )
         self._notifier.add_mask_listener(listener)
+
+    # -- mask listener: the first growth ends the pass-through ----------
+    def on_tape_failed(self, tape_id: int) -> None:
+        """A mask grew: answer through the mask checks from now on."""
+        self._unbind_inner()
+
+    def on_replica_condemned(self, tape_id: int, block_id: int) -> None:
+        """A mask grew: answer through the mask checks from now on."""
+        self._unbind_inner()
+
+    def _unbind_inner(self) -> None:
+        for name in ("replicas_of", "replica_on", "has_replica_on"):
+            self.__dict__.pop(name, None)
 
     # -- pass-through block geometry ------------------------------------
     @property

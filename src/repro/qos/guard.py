@@ -64,26 +64,29 @@ class StarvationGuardScheduler(Scheduler):
         requests so the forced sweep wastes as little bandwidth as
         possible; ties break to the lowest tape id for determinism.
         """
+        pending = context.pending
         best_tape: Optional[int] = None
-        best_requests: List[Request] = []
+        best_count = 0
         for replica in context.catalog.replicas_of(starving.block_id):
             tape_id = replica.tape_id
             if not context.tape_available(tape_id):
                 continue
-            requests = context.pending.requests_for_tape(tape_id)
-            if not requests:
+            count = len(pending.requests_for_tape(tape_id))
+            if not count:
                 continue
-            if best_tape is None or len(requests) > len(best_requests) or (
-                len(requests) == len(best_requests) and tape_id < best_tape
+            if best_tape is None or count > best_count or (
+                count == best_count and tape_id < best_tape
             ):
                 best_tape = tape_id
-                best_requests = requests
+                best_count = count
         if best_tape is None:
             return None
-        context.pending.remove_many(best_requests)
+        # The views empty on removal, so coalesce from them first.
+        chosen = pending.requests_for_tape(best_tape)
         entries: List[ServiceEntry] = coalesce_entries(
-            best_requests, best_tape, context.catalog
+            chosen, best_tape, context.catalog, pending.positions_on(best_tape)
         )
+        pending.remove_many(chosen)
         return MajorDecision(tape_id=best_tape, entries=entries, forced=True)
 
     # ------------------------------------------------------------------

@@ -262,12 +262,14 @@ class MetricsCollector:
         measured_s = max(0.0, self._end_s - self.warmup_s)
         bytes_read = self.completed_after_warmup * self.block_mb * MB
         throughput_kb_s = bytes_read / KB / measured_s if measured_s > 0 else 0.0
+        # Guard each divisor itself: a subnormal window is positive but
+        # its minutes and hours underflow to 0.0.
+        minutes = measured_s / 60.0
         requests_per_min = (
-            self.completed_after_warmup / (measured_s / 60.0) if measured_s > 0 else 0.0
+            self.completed_after_warmup / minutes if minutes > 0 else 0.0
         )
-        switches_per_hour = (
-            self.tape_switches / (measured_s / 3600.0) if measured_s > 0 else 0.0
-        )
+        hours = measured_s / 3600.0
+        switches_per_hour = self.tape_switches / hours if hours > 0 else 0.0
         if self.response_hist.count:
             p50 = self.response_hist.percentile(0.50)
             p95 = self.response_hist.percentile(0.95)

@@ -11,9 +11,9 @@ service loop itself is :class:`~repro.service.simulator.JukeboxSimulator`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Collection, Dict, Iterable, List, Optional
 
-from ..core.pending import PendingList
+from ..core.pending import CandidateTapes, PendingList
 from ..layout.catalog import BlockCatalog
 from ..workload.requests import Request
 
@@ -23,7 +23,9 @@ class ClaimFilteredPending(PendingList):
 
     Schedulers group requests by candidate tape through
     :meth:`candidate_tapes` / :meth:`requests_for_tape`; filtering here
-    keeps every scheduler family multi-drive-safe without changes.
+    keeps every scheduler family multi-drive-safe without changes.  The
+    filtered queries return the shared list's own views (nothing is
+    copied), minus the tapes other drives hold.
     """
 
     def __init__(self, inner: PendingList, claims: Dict[int, int], drive_index: int) -> None:
@@ -32,8 +34,8 @@ class ClaimFilteredPending(PendingList):
         self._drive_index = drive_index
 
     def _visible(self, tape_id: int) -> bool:
-        owner = self._claims.get(tape_id)
-        return owner is None or owner == self._drive_index
+        """Unclaimed, or claimed by this drive."""
+        return self._claims.get(tape_id, self._drive_index) == self._drive_index
 
     # Delegate the mutating / arrival-ordered interface.
     def __len__(self) -> int:
@@ -54,7 +56,7 @@ class ClaimFilteredPending(PendingList):
         """Defer ``request`` to the shared pending list."""
         self._inner.append(request)
 
-    def remove_many(self, requests: List[Request]) -> None:
+    def remove_many(self, requests: Iterable[Request]) -> None:
         """Remove scheduled requests from the shared pending list."""
         self._inner.remove_many(requests)
 
@@ -75,22 +77,20 @@ class ClaimFilteredPending(PendingList):
                 return request
         return None
 
-    def requests_for_tape(self, tape_id: int) -> List[Request]:
-        """Pending requests on ``tape_id`` if it is visible, else []."""
+    def requests_for_tape(self, tape_id: int) -> Collection[Request]:
+        """Pending requests on ``tape_id`` if it is visible, else ()."""
         if not self._visible(tape_id):
-            return []
+            return ()
         return self._inner.requests_for_tape(tape_id)
 
-    def positions_on(self, tape_id: int) -> List[float]:
-        """Copy positions on ``tape_id`` if it is visible, else []."""
-        if not self._visible(tape_id):
-            return []
+    def positions_on(self, tape_id: int) -> Collection[float]:
+        """Copy positions on ``tape_id`` if it is visible, else ()."""
+        # ``_visible`` inlined: a max-bandwidth decision calls this once
+        # per candidate tape.
+        if self._claims.get(tape_id, self._drive_index) != self._drive_index:
+            return ()
         return self._inner.positions_on(tape_id)
 
-    def candidate_tapes(self) -> Dict[int, List[Request]]:
+    def candidate_tapes(self) -> CandidateTapes:
         """Per-tape pending requests, excluding other drives' claims."""
-        return {
-            tape_id: requests
-            for tape_id, requests in self._inner.candidate_tapes().items()
-            if self._visible(tape_id)
-        }
+        return self._inner.candidate_tapes().for_drive(self._claims, self._drive_index)

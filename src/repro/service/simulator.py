@@ -268,7 +268,7 @@ class JukeboxSimulator:
 
     def _timed(self, duration_s: float) -> float:
         """Record drive busy time; return the delay for a bare yield."""
-        self.metrics.on_drive_busy(self.env.now, duration_s)
+        self.metrics.on_drive_busy(self.env._now, duration_s)
         return duration_s
 
     def _drive_process(self, drive: int):
@@ -467,7 +467,7 @@ class JukeboxSimulator:
         jukebox = self.bays[drive]
         self.claims[tape_id] = drive
         self.contexts[drive].incoming = tape_id
-        switch_start = self.env.now
+        switch_start = self.env._now
         old_tape = jukebox.mounted_id
         if old_tape is not None:
             yield self._timed(jukebox.drive.rewind())
@@ -485,7 +485,7 @@ class JukeboxSimulator:
                 self.robot.release()
                 break
             self._count_fault(fault.kind)
-            wasted_start = self.env.now
+            wasted_start = self.env._now
             yield self._timed(jukebox.timing.robot_swap_s)
             self.robot.release()
             self._log(
@@ -513,12 +513,12 @@ class JukeboxSimulator:
         load_s = jukebox.drive.load(jukebox.pool[tape_id])
         self.contexts[drive].incoming = None
         yield self._timed(load_s)
-        self.metrics.on_tape_switch(self.env.now)
+        self.metrics.on_tape_switch(self.env._now)
         self._log(
             "switch",
             drive,
             switch_start,
-            self.env.now - switch_start,
+            self.env._now - switch_start,
             tape_id=tape_id,
         )
         return True

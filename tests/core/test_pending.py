@@ -53,18 +53,18 @@ class TestPendingList:
         tape2_only = factory.create(block_id=2, arrival_s=2.0)
         for request in (replicated, tape0_only, tape2_only):
             pending.append(request)
-        assert pending.requests_for_tape(0) == [replicated, tape0_only]
-        assert pending.requests_for_tape(1) == [replicated]
-        assert pending.requests_for_tape(2) == [tape2_only]
-        assert pending.requests_for_tape(5) == []
+        assert list(pending.requests_for_tape(0)) == [replicated, tape0_only]
+        assert list(pending.requests_for_tape(1)) == [replicated]
+        assert list(pending.requests_for_tape(2)) == [tape2_only]
+        assert list(pending.requests_for_tape(5)) == []
 
     def test_candidate_tapes_maps_all_replicas(self, pending, factory):
         replicated = factory.create(block_id=0, arrival_s=0.0)
         pending.append(replicated)
         candidates = pending.candidate_tapes()
         assert set(candidates) == {0, 1}
-        assert candidates[0] == [replicated]
-        assert candidates[1] == [replicated]
+        assert list(candidates[0]) == [replicated]
+        assert list(candidates[1]) == [replicated]
 
     def test_remove_many(self, pending, factory):
         requests = [factory.create(block_id=index % 3, arrival_s=index) for index in range(4)]
@@ -201,7 +201,7 @@ def test_mask_pruned_index_matches_live_rescan(catalog_spec, ops, claim_filtered
             assert [
                 request.request_id for request in view.requests_for_tape(tape_id)
             ] == candidates.get(tape_id, [])
-            assert view.positions_on(tape_id) == positions.get(tape_id, [])
+            assert list(view.positions_on(tape_id)) == positions.get(tape_id, [])
         assert [request.request_id for request in view.lost()] == lost
         assert lost == [
             request.request_id
@@ -213,3 +213,99 @@ def test_mask_pruned_index_matches_live_rescan(catalog_spec, ops, claim_filtered
 def test_dynamic_catalog_without_notifier_is_rejected(catalog):
     with pytest.raises(TypeError, match="notifier"):
         PendingList(FaultMaskedCatalog(catalog, set()))
+
+
+# ----------------------------------------------------------------------
+# Model test: arrival order lives in ``_by_id``; queries are live views.
+# ----------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(_catalogs(), _OPS)
+def test_pending_list_matches_naive_list_model(catalog_spec, ops):
+    """Every query equals a plain arrival-ordered list filtered on demand.
+
+    The model keeps pending requests in a list (a re-appended request
+    goes to its tail) and the masks as sets; each by-tape answer is that
+    list filtered to the requests with a live copy on the tape.
+    """
+    tape_count, catalog = catalog_spec
+    injector = FaultInjector(FaultConfig(), catalog)
+    masked = FaultMaskedCatalog(
+        catalog, injector.failed_tapes, injector.known_bad, notifier=injector
+    )
+    pending = PendingList(masked)
+    factory = RequestFactory()
+    model = []
+    removed = []
+    failed = set()
+    bad = set()
+
+    def live_copies(request):
+        return [
+            replica
+            for replica in catalog.replicas_of(request.block_id)
+            if replica.tape_id not in failed
+            and (replica.tape_id, request.block_id) not in bad
+        ]
+
+    for op, first, second in ops:
+        if op == "append":
+            request = factory.create(
+                block_id=first % catalog.n_blocks, arrival_s=float(factory.next_id)
+            )
+            pending.append(request)
+            model.append(request)
+        elif op == "reappend" and removed:
+            request = removed.pop(first % len(removed))
+            pending.append(request)
+            model.append(request)
+        elif op == "remove" and model:
+            chosen = [
+                request
+                for index, request in enumerate(model)
+                if (first >> (index % 10)) & 1
+            ]
+            pending.remove_many(chosen)
+            model = [request for request in model if request not in chosen]
+            removed.extend(chosen)
+        elif op == "fail":
+            injector.fail_tape(first % tape_count)
+            failed.add(first % tape_count)
+        elif op == "condemn":
+            key = (first % tape_count, second % catalog.n_blocks)
+            injector.condemn_replica(*key)
+            bad.add(key)
+
+        ids = [request.request_id for request in model]
+        assert len(pending) == len(model)
+        assert [request.request_id for request in pending] == ids
+        assert [request.request_id for request in pending.snapshot()] == ids
+        assert pending.oldest() is (model[0] if model else None)
+        assert all(request in pending for request in model)
+        assert not any(request in pending for request in removed)
+        assert [request.request_id for request in pending.lost()] == [
+            request.request_id for request in model if not live_copies(request)
+        ]
+        expected = {}
+        for request in model:
+            for replica in live_copies(request):
+                expected.setdefault(replica.tape_id, []).append(
+                    (request.request_id, replica.position_mb)
+                )
+        candidates = pending.candidate_tapes()
+        assert sorted(candidates) == sorted(expected)
+        assert len(candidates) == len(expected)
+        for tape_id in range(tape_count + 1):
+            want = expected.get(tape_id, [])
+            assert (tape_id in candidates) == bool(want)
+            if want:
+                assert [r.request_id for r in candidates[tape_id]] == [
+                    request_id for request_id, _ in want
+                ]
+            assert [r.request_id for r in pending.requests_for_tape(tape_id)] == [
+                request_id for request_id, _ in want
+            ]
+            assert list(pending.positions_on(tape_id)) == [
+                position for _, position in want
+            ]

@@ -136,7 +136,7 @@ class TestMaxBandwidth:
         factory = RequestFactory()
         for block_id in (0, 0, 1, 2):
             pending.append(factory.create(block_id=block_id, arrival_s=0.0))
-        assert pending.positions_on(0) == [100.0, 100.0]
+        assert list(pending.positions_on(0)) == [100.0, 100.0]
         selection = SelectionContext(
             timing=EXB_8505XL,
             block_mb=16.0,

@@ -157,6 +157,21 @@ class TestDegradedReports:
         assert report.mean_response_s == 0.0
         assert report.served_fraction == 1.0
 
+    def test_subnormal_window_report_is_finite(self):
+        """A positive window whose minutes and hours underflow to 0.0.
+
+        ``5e-324 / 60.0`` is 0.0, so the per-minute and per-hour rates
+        must test their own divisors, not the window.
+        """
+        metrics = MetricsCollector(block_mb=16.0)
+        metrics.on_tape_switch(0.0)
+        metrics.finalize(5e-324)
+        report = metrics.report()
+        assert report.measured_s == 5e-324
+        assert report.requests_per_min == 0.0
+        assert report.switches_per_hour == 0.0
+        assert report.throughput_kb_s == 0.0
+
     def test_all_failed_report_is_finite(self):
         """Every request failing drives served_fraction to zero, not NaN."""
         metrics = MetricsCollector(block_mb=16.0)

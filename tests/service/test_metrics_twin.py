@@ -9,7 +9,7 @@ warm-up boundary, equal timestamps, ``service_s=None``, deadlines met
 and missed — both must produce equal reports with equal digests.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.service.metrics import MetricsCollector, report_digest
 from repro.stats import TimeWeightedStats
@@ -153,6 +153,8 @@ EVENTS = st.one_of(
     events=st.lists(EVENTS, max_size=60),
     end_gap=GAPS,
 )
+# A subnormal window: positive, but its minutes and hours underflow.
+@example(warmup_s=0.0, block_mb=16.0, events=[], end_gap=5e-324)
 def test_collector_matches_frozen(warmup_s, block_mb, events, end_gap):
     fused = MetricsCollector(block_mb=block_mb, warmup_s=warmup_s)
     frozen = FrozenMetricsCollector(block_mb=block_mb, warmup_s=warmup_s)
