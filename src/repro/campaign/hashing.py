@@ -20,7 +20,7 @@ from ..experiments.store import config_to_dict, schema_fingerprint
 #: Salt mixed into every cache key.  Bump when simulation semantics
 #: change without a dataclass field changing (scheduler fixes, timing
 #: model corrections, ...): all previously cached results then miss.
-CODE_VERSION = "sim-2026.10-abandon-sweep"
+CODE_VERSION = "sim-2026.10-arrival-floors"
 
 
 def _config_payload(config: ExperimentConfig) -> dict:

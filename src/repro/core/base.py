@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Collection, Dict, Iterable, List, Optional, Set
+from typing import Collection, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..layout.catalog import BlockCatalog
 from ..tape.jukebox import Jukebox
 from ..tape.noisy import NoisyTimingModel
+from ..tape.timing import DriveTimingModel
 from ..workload.requests import Request
 from .pending import PendingList
 from .sweep import ServiceEntry, ServiceList
@@ -42,6 +43,9 @@ class SchedulerContext:
     #: BOT, so requests arriving mid-exchange are planned against the
     #: tape the sweep will read, not the one on its way out.
     incoming: Optional[int] = None
+    _run_pricing: Optional[Tuple[DriveTimingModel, float, int]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def tape_available(self, tape_id: int) -> bool:
         """True when ``tape_id`` is in service (not masked out)."""
@@ -84,6 +88,19 @@ class SchedulerContext:
     def tape_count(self) -> int:
         """Number of tapes in the jukebox."""
         return self.jukebox.tape_count
+
+    def run_pricing(self) -> Tuple[DriveTimingModel, float, int]:
+        """``(pricing_timing, block_mb, tape_count)``, read on the first
+        call and kept: none of them changes within a run, and a context
+        serves one run."""
+        pricing = self._run_pricing
+        if pricing is None:
+            pricing = self._run_pricing = (
+                self.pricing_timing,
+                self.block_mb,
+                self.tape_count,
+            )
+        return pricing
 
 
 @dataclass

@@ -45,10 +45,11 @@ class StaticScheduler(Scheduler):
 
     def _selection_context(self, context: SchedulerContext) -> SelectionContext:
         pending = context.pending
+        timing, block_mb, tape_count = context.run_pricing()
         return SelectionContext(
-            timing=context.pricing_timing,
-            block_mb=context.block_mb,
-            tape_count=context.tape_count,
+            timing=timing,
+            block_mb=block_mb,
+            tape_count=tape_count,
             mounted_id=context.mounted_id,
             head_mb=context.head_mb,
             candidates=pending.candidate_tapes(),

@@ -14,11 +14,13 @@ generated batches and on pinned instances that random draws rarely
 reach, and the number of tapes it leaves to plan on a seeded run is
 pinned.
 
-The flattened search is checked against its twin too: a verbatim copy
-of the search it replaced (tuple memo keys, an ``exhausted`` flag, the
-method-call transition matrix) must return the same order, a
-bit-identical cost, and the same ``exact`` flag and node count on
-generated batches, budget exhaustion included.
+The search is checked against its twin too: a verbatim copy of the
+search before it was flattened and before its node bound charged each
+block its arrival floor (tuple memo keys, an ``exhausted`` flag, the
+plain-read bound, the method-call transition matrix).  Wherever the
+twin completes, the search must complete with the same order and a
+bit-identical cost; where the twin runs out of budget, the plan must
+still beat every seed order.
 """
 
 import dataclasses
@@ -26,7 +28,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.api import run
 from repro.core import (
@@ -44,7 +46,9 @@ from repro.core import (
     reverse_first_order,
     sweep_order,
 )
+from repro.core import exact as exact_module
 from repro.core.base import coalesce_entries
+from repro.core.cost import arrival_span_bound
 from repro.core.exact import (
     _BatchCost,
     _BatchScheduler,
@@ -61,6 +65,7 @@ from repro.tape.serpentine import SerpentineTimingModel
 from repro.tape.timing import DriveTimingModel
 from repro.workload import RequestFactory
 
+from ..test_golden_hashes import CASES as GOLDEN_CASES
 from .conftest import catalog_from, make_context
 
 TIMING = DriveTimingModel()
@@ -683,40 +688,50 @@ class TestTapePruning:
         assert counts == {"decisions": 187, "planned": 256}
 
 
-def exhaustive_normalized_cost(
-    timing, block_mb, head_mb, entries, deferred, overhead_s
-):
-    """The minimum over every read order of ``(overhead_s * c + J) / n``.
+def oracle_cost(transitions, deferred):
+    """The minimum ``J`` over every read order of a batch.
 
-    Enumerates orders through a DP over (served set, last read) states;
-    it is exhaustive because the weight still waiting during a read
-    depends only on the set already served, and the drive state after a
-    read only on that read."""
-    transitions = _Transitions(_BatchCost(timing, block_mb), head_mb, entries, True)
+    A DP over (served set, last read) states on the batch's transition
+    matrix; it is exhaustive because the weight still waiting during a
+    read depends only on the set already served, and the drive state
+    after a read only on that read.  Each waiting weight is summed
+    afresh, not carried down as the search carries it."""
     weights = transitions.weights
     count = len(weights)
-    served = sum(weights)
-    best = {
-        (1 << j, j): cost * (deferred + served)
-        for j, cost in enumerate(transitions.root_cost)
-    }
-    for mask in range(1, 1 << count):
-        waiting = deferred + sum(
-            weight for i, weight in enumerate(weights) if not mask >> i & 1
-        )
-        for last in range(count):
-            accrued = best.get((mask, last))
-            if accrued is None:
+    if count == 0:
+        return 0.0
+    full = (1 << count) - 1
+    waiting = [
+        deferred + sum(weight for i, weight in enumerate(weights) if not mask >> i & 1)
+        for mask in range(full + 1)
+    ]
+    inf = float("inf")
+    best = [[inf] * count for _ in range(full + 1)]
+    for j, cost in enumerate(transitions.root_cost):
+        best[1 << j][j] = cost * waiting[0]
+    for mask in range(1, full):
+        weight = waiting[mask]
+        for last, accrued in enumerate(best[mask]):
+            if accrued == inf:
                 continue
             for j, cost in enumerate(transitions.step_cost[last]):
                 if mask >> j & 1:
                     continue
-                key = (mask | 1 << j, j)
-                child = accrued + cost * waiting
-                if child < best.get(key, float("inf")):
-                    best[key] = child
-    full = (1 << count) - 1
-    total = min(best[(full, last)] for last in range(count))
+                child = accrued + cost * weight
+                states = best[mask | 1 << j]
+                if child < states[j]:
+                    states[j] = child
+    return min(best[full])
+
+
+def exhaustive_normalized_cost(
+    timing, block_mb, head_mb, entries, deferred, overhead_s
+):
+    """The minimum over every read order of ``(overhead_s * c + J) / n``,
+    from ``head_mb`` with the read startup pending."""
+    transitions = _Transitions(_BatchCost(timing, block_mb), head_mb, entries, True)
+    served = sum(transitions.weights)
+    total = oracle_cost(transitions, deferred)
     return (overhead_s * (served + deferred) + total) / served
 
 
@@ -1040,17 +1055,171 @@ class TestFlattenedSearch:
     @settings(max_examples=150, deadline=None)
     @given(batch=batches())
     def test_matches_frozen_reference(self, batch):
-        """Same order, bit-identical cost, same ``exact`` and node count
-        as the search it replaced, budget exhaustion included."""
+        """Wherever the search it replaced (plain-read bound, tuple memo
+        keys, an ``exhausted`` flag) runs to completion, the search
+        completes too, with the same order and a bit-identical cost; the
+        arrival-floor bound only prunes more.  Where the frozen search
+        runs out of budget, the plan still beats every seed order."""
         timing, head, entries, deferred, startup, budget = batch
         kwargs = dict(
             deferred_weight=deferred, node_budget=budget, startup_pending=startup
         )
         plan = optimal_order(timing, head, entries, BLOCK_MB, **kwargs)
         frozen = frozen_optimal_order(timing, head, entries, BLOCK_MB, **kwargs)
-        assert [id(entry) for entry in plan.order] == [
-            id(entry) for entry in frozen.order
-        ]
-        assert plan.cost_s.hex() == frozen.cost_s.hex()
-        assert plan.exact == frozen.exact
-        assert plan.nodes == frozen.nodes
+        if frozen.exact:
+            assert plan.exact
+            assert [id(entry) for entry in plan.order] == [
+                id(entry) for entry in frozen.order
+            ]
+            assert plan.cost_s.hex() == frozen.cost_s.hex()
+            return
+        transitions = _Transitions(
+            _BatchCost(timing, BLOCK_MB), head, entries, startup
+        )
+        forward, reverse = _split_passes(transitions.items, head)
+        for seed in (forward + reverse, reverse + forward, transitions.greedy_order()):
+            assert plan.cost_s <= transitions.order_cost(seed, deferred)
+
+
+def root_floor_bound(transitions, deferred):
+    """The search's node bound at the root: every block charged its
+    arrival floor while its own and the deferred weight wait."""
+    floors = transitions.arrival_floors()
+    return sum(
+        floor * (deferred + weight)
+        for floor, weight in zip(floors, transitions.weights)
+    )
+
+
+def check_against_oracle(timing, block_mb, head, entries, deferred, startup, plan):
+    """The three oracle claims on one batch of at most 10 blocks: an
+    exact plan costs the optimum, the root floor bound stays below it,
+    and so does the tape-level bound of a sweep that starts with the
+    read startup pending and serves a request with every block."""
+    model = _BatchCost(timing, block_mb)
+    transitions = _Transitions(model, head, entries, startup)
+    optimum = oracle_cost(transitions, deferred)
+    if plan.exact:
+        assert plan.cost_s == pytest.approx(optimum, rel=1e-12, abs=0.0)
+    assert root_floor_bound(transitions, deferred) <= optimum * (1.0 + 1e-12)
+    weights = transitions.weights
+    if startup and entries and min(weights) >= 1.0:
+        served = sum(weights)
+        bound = arrival_span_bound(
+            model.constants,
+            block_mb,
+            float(head),
+            [entry.position_mb for entry in transitions.items],
+            served,
+            deferred,
+            0.0,
+        )
+        assert bound <= optimum / served * (1.0 + 1e-12), (bound, optimum)
+
+
+@st.composite
+def oracle_batches(draw):
+    """A batch of 1-10 blocks drawn as :func:`batches` draws them, at
+    the default node budget."""
+    timing, head, entries, deferred, startup, _ = draw(batches())
+    assume(1 <= len(entries) <= 10)
+    return timing, head, entries, deferred, startup
+
+
+class TestExhaustiveOracle:
+    """The search, its node bound and the tape-level bound against an
+    oracle that enumerates every read order."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(batch=oracle_batches())
+    def test_generated_batches(self, batch):
+        timing, head, entries, deferred, startup = batch
+        plan = optimal_order(
+            timing,
+            head,
+            entries,
+            BLOCK_MB,
+            deferred_weight=deferred,
+            startup_pending=startup,
+        )
+        check_against_oracle(
+            timing, BLOCK_MB, head, entries, deferred, startup, plan
+        )
+
+    def test_batches_of_a_q60_run(self, monkeypatch):
+        """Every batch of at most 10 blocks that a short closed Q-60
+        ``exact-batch`` run plans, decisions and arrival replans alike."""
+        planned = exact_module.optimal_order
+        counts = {"checked": 0, "exact": 0, "span": 0}
+
+        def checked(timing, head_mb, entries, block_mb, **kwargs):
+            plan = planned(timing, head_mb, entries, block_mb, **kwargs)
+            if len(entries) <= 10:
+                startup = kwargs["startup_pending"]
+                check_against_oracle(
+                    timing,
+                    block_mb,
+                    head_mb,
+                    entries,
+                    kwargs["deferred_weight"],
+                    startup,
+                    plan,
+                )
+                counts["checked"] += 1
+                counts["exact"] += plan.exact
+                counts["span"] += startup
+            return plan
+
+        monkeypatch.setattr(exact_module, "optimal_order", checked)
+        run(
+            ExperimentConfig(
+                scheduler="exact-batch", queue_length=60, horizon_s=20_000.0, seed=1
+            )
+        )
+        assert counts == {"checked": 40, "exact": 40, "span": 25}
+
+
+def test_golden_batches_are_never_dearer_than_the_frozen_search(monkeypatch):
+    """Every batch the three ``exact-batch`` golden configs plan, run
+    through the frozen search too: the plan's ``J`` is never above the
+    frozen one, and is bit-identical wherever the frozen search ran to
+    completion.  Under the starvation guard one budget-stopped batch
+    gets cheaper, which is why that golden was re-pinned."""
+    planned = exact_module.optimal_order
+    counts = {"plans": 0, "frozen_exact": 0, "cheaper": 0}
+
+    def compared(timing, head_mb, entries, block_mb, **kwargs):
+        plan = planned(timing, head_mb, entries, block_mb, **kwargs)
+        frozen = frozen_optimal_order(timing, head_mb, entries, block_mb, **kwargs)
+        counts["plans"] += 1
+        if frozen.exact:
+            counts["frozen_exact"] += 1
+            assert plan.cost_s.hex() == frozen.cost_s.hex()
+        else:
+            assert plan.cost_s <= frozen.cost_s
+            counts["cheaper"] += plan.cost_s < frozen.cost_s
+        return plan
+
+    monkeypatch.setattr(exact_module, "optimal_order", compared)
+    seen = {}
+    for name in (
+        "fig4_exact_batch",
+        "fig4_exact_batch_multidrive3",
+        "fig4_exact_batch_starvation_qos",
+    ):
+        run(GOLDEN_CASES[name])
+        seen[name] = dict(counts)
+        counts.update(plans=0, frozen_exact=0, cheaper=0)
+    assert seen == {
+        "fig4_exact_batch": {"plans": 175, "frozen_exact": 111, "cheaper": 0},
+        "fig4_exact_batch_multidrive3": {
+            "plans": 729,
+            "frozen_exact": 729,
+            "cheaper": 0,
+        },
+        "fig4_exact_batch_starvation_qos": {
+            "plans": 134,
+            "frozen_exact": 98,
+            "cheaper": 1,
+        },
+    }

@@ -64,6 +64,22 @@ def test_pricing_timing_unwraps_a_noisy_model():
     assert clean.pricing_timing is scaled
 
 
+def test_run_pricing_is_read_once_per_context():
+    """The decision loops price with ``run_pricing()``: the unwrapped
+    model, the block size and the tape count, read on the first call
+    and kept for the context's run."""
+    catalog = build_catalog(PlacementSpec(block_mb=BLOCK_MB), TAPES, CAPACITY_MB)
+    context = SchedulerContext(
+        jukebox=noisy_jukebox(random.Random(1)),
+        catalog=catalog,
+        pending=PendingList(catalog),
+    )
+    pricing = context.run_pricing()
+    assert pricing == (EXB_8505XL, BLOCK_MB, TAPES)
+    assert pricing[0] is EXB_8505XL
+    assert context.run_pricing() is pricing
+
+
 @pytest.mark.parametrize(
     "scheduler_name",
     [
