@@ -19,6 +19,14 @@ scores below 1 (``dynamic-max-bandwidth`` measured 0.995 at Q-100).  All runs co
 :meth:`repro.campaign.Campaign.submit` call, so gap reports are cached,
 parallelizable, and resumable like every other figure.
 
+The baseline is per-batch *optimal* only where its search completes.
+A search that reaches the node budget (``DEFAULT_NODE_BUDGET`` in
+:mod:`repro.core.exact`) returns the best order it found.  On the
+``serpentine`` row that is most searches: at seed 42, 247 of the 413
+plans of a 50 ks run stop at the budget, and 992 of 1,681 at the
+default 200 ks.  That row compares each heuristic against the best plan
+found, not a proven optimum.
+
 Methodology follows the paper's Figure 4 closed-loop setup (hot/cold
 workload, warm-up discard, steady-state means); see docs/PAPER_MAP.md.
 Scenario horizons default to 200,000 simulated seconds — long enough

@@ -10,12 +10,12 @@ pending list (paper Section 2.2).
 from __future__ import annotations
 
 import abc
+import sys
 from dataclasses import dataclass, field
 from typing import Collection, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..layout.catalog import BlockCatalog
 from ..tape.jukebox import Jukebox
-from ..tape.noisy import NoisyTimingModel
 from ..tape.timing import DriveTimingModel
 from ..workload.requests import Request
 from .pending import PendingList
@@ -75,7 +75,10 @@ class SchedulerContext:
         pricing a plan draws nothing from the drive's noise stream.
         """
         timing = self.jukebox.timing
-        if isinstance(timing, NoisyTimingModel):
+        # Nothing can be noisy before the module that defines the
+        # wrapper is loaded, so plain runs never import it.
+        noisy = sys.modules.get("repro.tape.noisy")
+        if noisy is not None and isinstance(timing, noisy.NoisyTimingModel):
             return timing.base
         return timing
 

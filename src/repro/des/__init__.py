@@ -7,6 +7,7 @@ blocking :class:`Store`, and a :class:`UtilizationTimeline` of busy
 intervals.
 """
 
+from .._lazy import lazy_exports
 from .environment import EmptySchedule, Environment
 from .events import (
     AllOf,
@@ -18,9 +19,16 @@ from .events import (
     PRIORITY_URGENT,
     Timeout,
 )
-from .monitor import UtilizationTimeline
 from .process import Process
 from .queues import Resource, Store
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        ".monitor": ("UtilizationTimeline",),
+    },
+)
 
 __all__ = [
     "AllOf",

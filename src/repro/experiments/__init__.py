@@ -7,23 +7,35 @@ parallelism, content-addressed result caching, and failure isolation —
 and accept ``campaign=`` to run it in parallel and/or cached.
 """
 
+from .._lazy import lazy_exports
 from .config import DEFAULT_HORIZON_S, ExperimentConfig
-from .figures import FIGURES, FigureData
-from .replications import ReplicationReport, replicate, significantly_better
 from .runner import ExperimentResult, build_simulator
-from .store import (
-    config_from_dict,
-    config_to_dict,
-    load_results,
-    save_results,
-    schema_fingerprint,
-)
-from .sweeps import (
-    CurvePoint,
-    PAPER_QUEUE_LENGTHS,
-    curve_family,
-    queue_sweep,
-    queue_sweep_configs,
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        ".figures": ("FIGURES", "FigureData"),
+        ".replications": (
+            "ReplicationReport",
+            "replicate",
+            "significantly_better",
+        ),
+        ".store": (
+            "config_from_dict",
+            "config_to_dict",
+            "load_results",
+            "save_results",
+            "schema_fingerprint",
+        ),
+        ".sweeps": (
+            "CurvePoint",
+            "PAPER_QUEUE_LENGTHS",
+            "curve_family",
+            "queue_sweep",
+            "queue_sweep_configs",
+        ),
+    },
 )
 
 __all__ = [

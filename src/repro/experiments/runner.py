@@ -5,15 +5,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..core.registry import make_scheduler
 from ..des import Environment
-from ..faults.injector import FaultInjector
 from ..layout.placement import PlacementSpec, build_catalog
 from ..layout.validate import validate_catalog
-from ..obs.tracer import Tracer
-from ..qos.manager import QoSManager
 from ..service.metrics import MetricsCollector, MetricsReport
 from ..service.simulator import JukeboxSimulator
 from ..tape.jukebox import Jukebox
@@ -22,6 +19,9 @@ from ..workload.closed import ClosedSource
 from ..workload.open import OpenSource
 from ..workload.skew import HotColdSkew
 from .config import ExperimentConfig
+
+if TYPE_CHECKING:
+    from ..obs.tracer import Tracer
 
 
 @dataclass(frozen=True)
@@ -120,6 +120,8 @@ def build_simulator(
     # rate is nonzero, so fault-free runs take the exact pre-fault path.
     faults = None
     if config.faults is not None and config.faults.enabled:
+        from ..faults.injector import FaultInjector
+
         faults = FaultInjector(
             config.faults, catalog, drive_count=config.drive_count
         )
@@ -129,6 +131,8 @@ def build_simulator(
     # pre-QoS path.
     qos = None
     if config.qos is not None and config.qos.enabled:
+        from ..qos.manager import QoSManager
+
         qos = QoSManager(config.qos, env, metrics)
 
     jukebox = Jukebox.build(

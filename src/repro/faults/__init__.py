@@ -19,17 +19,25 @@ the subsystem entirely and simulation results are bit-identical to a
 fault-free build.
 """
 
+from .._lazy import lazy_exports
 from .config import FaultConfig
-from .errors import (
-    BadBlockError,
-    DriveFailureError,
-    FaultError,
-    MediaError,
-    RobotPickError,
-)
-from .injector import FaultInjector
-from .masking import FaultMaskedCatalog
 from .retry import RetryPolicy
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        ".errors": (
+            "BadBlockError",
+            "DriveFailureError",
+            "FaultError",
+            "MediaError",
+            "RobotPickError",
+        ),
+        ".injector": ("FaultInjector",),
+        ".masking": ("FaultMaskedCatalog",),
+    },
+)
 
 __all__ = [
     "BadBlockError",

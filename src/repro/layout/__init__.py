@@ -1,7 +1,7 @@
 """Data placement and replication substrate."""
 
+from .._lazy import lazy_exports
 from .catalog import BlockCatalog, Replica
-from .lifecycle import LifecyclePlanner, LifecycleStage, StagePlan
 from .placement import (
     Layout,
     PlacementSpec,
@@ -10,6 +10,14 @@ from .placement import (
     logical_block_budget,
 )
 from .validate import LayoutError, validate_catalog
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        ".lifecycle": ("LifecyclePlanner", "LifecycleStage", "StagePlan"),
+    },
+)
 
 __all__ = [
     "BlockCatalog",

@@ -46,10 +46,18 @@ class BlockCatalog:
             tuple(sorted(replica_list)) for replica_list in replicas_by_block
         )
         on_tape: List[Dict[int, Replica]] = []
+        by_tape: Dict[int, List[Tuple[float, int]]] = {}
         for block_id, replica_list in enumerate(self._replicas):
             if not replica_list:
                 raise ValueError(f"logical block {block_id} has no replicas")
-            copies = {replica.tape_id: replica for replica in replica_list}
+            copies = {}
+            for replica in replica_list:
+                tape_id = replica.tape_id
+                copies[tape_id] = replica
+                entries = by_tape.get(tape_id)
+                if entries is None:
+                    entries = by_tape[tape_id] = []
+                entries.append((replica.position_mb, block_id))
             if len(copies) != len(replica_list):
                 raise ValueError(
                     f"logical block {block_id} has multiple copies on one tape"
@@ -57,12 +65,6 @@ class BlockCatalog:
             on_tape.append(copies)
         #: Per-block ``tape_id -> Replica`` maps for O(1) lookups.
         self._on_tape: Tuple[Dict[int, Replica], ...] = tuple(on_tape)
-        by_tape: Dict[int, List[Tuple[float, int]]] = {}
-        for block_id, replica_list in enumerate(self._replicas):
-            for replica in replica_list:
-                by_tape.setdefault(replica.tape_id, []).append(
-                    (replica.position_mb, block_id)
-                )
         self._by_tape: Dict[int, Tuple[Tuple[float, int], ...]] = {
             tape_id: tuple(sorted(entries)) for tape_id, entries in by_tape.items()
         }

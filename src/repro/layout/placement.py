@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from .catalog import BlockCatalog, Replica
 
@@ -123,8 +123,14 @@ class _TapeBuilder:
     def free(self) -> int:
         return self.slot_capacity - self.used
 
-    def layout(self, start_position: float, block_mb: float) -> Dict[int, Replica]:
-        """Assign slot positions; return ``block_id -> Replica`` for this tape."""
+    def layout(
+        self,
+        start_position: float,
+        block_mb: float,
+        placements: List[List[Replica]],
+    ) -> None:
+        """Assign slot positions, appending each block's copy on this
+        tape to ``placements[block_id]``."""
         used = self.used
         if used > self.slot_capacity:
             raise ValueError(
@@ -133,25 +139,12 @@ class _TapeBuilder:
         hot_run = sorted(self.hot_blocks)
         cold_run = sorted(self.cold_blocks)
         hot_start = round(start_position * (used - len(hot_run)))
-        placements: Dict[int, Replica] = {}
-        slot = 0
-        cold_index = 0
         # Cold blocks fill slots below the hot run, then the hot run, then
         # the remaining cold blocks.
-        while slot < hot_start:
-            block_id = cold_run[cold_index]
-            placements[block_id] = Replica(self.tape_id, slot * block_mb)
-            cold_index += 1
-            slot += 1
-        for block_id in hot_run:
-            placements[block_id] = Replica(self.tape_id, slot * block_mb)
-            slot += 1
-        while cold_index < len(cold_run):
-            block_id = cold_run[cold_index]
-            placements[block_id] = Replica(self.tape_id, slot * block_mb)
-            cold_index += 1
-            slot += 1
-        return placements
+        run = cold_run[:hot_start] + hot_run + cold_run[hot_start:]
+        tape_id = self.tape_id
+        for slot, block_id in enumerate(run):
+            placements[block_id].append(Replica(tape_id, slot * block_mb))
 
 
 def build_catalog(
@@ -196,14 +189,11 @@ def build_catalog(
     else:
         _assign_vertical(builders, spec, n_logical, n_hot, slots_per_tape)
 
-    placements: Dict[int, List[Replica]] = {block_id: [] for block_id in range(n_logical)}
+    placements: List[List[Replica]] = [[] for _ in range(n_logical)]
     for builder in builders:
-        for block_id, replica in builder.layout(spec.start_position, spec.block_mb).items():
-            placements[block_id].append(replica)
+        builder.layout(spec.start_position, spec.block_mb, placements)
     return BlockCatalog(
-        block_mb=spec.block_mb,
-        n_hot=n_hot,
-        replicas_by_block=[placements[block_id] for block_id in range(n_logical)],
+        block_mb=spec.block_mb, n_hot=n_hot, replicas_by_block=placements
     )
 
 
@@ -268,14 +258,17 @@ def _assign_cold(
         if index != len(cold_ids):
             raise ValueError("cold data exceeds remaining capacity")
         return
+    # Each tape's free slots, kept current as cold blocks land.
+    free = [builder.free for builder in builders]
     tape_cursor = 0
     tape_count = len(builders)
     for block_id in cold_ids:
         for _attempt in range(tape_count):
-            builder = builders[tape_cursor % tape_count]
+            index = tape_cursor % tape_count
             tape_cursor += 1
-            if builder.free > 0:
-                builder.cold_blocks.append(block_id)
+            if free[index] > 0:
+                free[index] -= 1
+                builders[index].cold_blocks.append(block_id)
                 break
         else:
             raise ValueError("cold data exceeds remaining capacity")

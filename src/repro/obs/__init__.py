@@ -17,26 +17,34 @@ Exports: JSONL (:func:`write_jsonl`) and Chrome trace-event JSON
 :class:`TraceSummary`.  See ``docs/OBSERVABILITY.md``.
 """
 
-from .export import (
-    JSONL_SCHEMA,
-    parse_jsonl,
-    to_chrome_trace,
-    trace_to_jsonl,
-    validate_chrome_trace,
-    write_chrome_trace,
-    write_jsonl,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        ".export": (
+            "JSONL_SCHEMA",
+            "parse_jsonl",
+            "to_chrome_trace",
+            "trace_to_jsonl",
+            "validate_chrome_trace",
+            "write_chrome_trace",
+            "write_jsonl",
+        ),
+        ".registry": ("MetricRegistry",),
+        ".spans": (
+            "OUTCOMES",
+            "PHASES",
+            "DecisionRecord",
+            "DriveSpan",
+            "RequestTrace",
+            "TraceEvent",
+        ),
+        ".summary": ("SUMMARY_SCHEMA", "TraceSummary"),
+        ".tracer": ("Tracer",),
+    },
 )
-from .registry import MetricRegistry
-from .spans import (
-    OUTCOMES,
-    PHASES,
-    DecisionRecord,
-    DriveSpan,
-    RequestTrace,
-    TraceEvent,
-)
-from .summary import SUMMARY_SCHEMA, TraceSummary
-from .tracer import Tracer
 
 __all__ = [
     "DecisionRecord",

@@ -32,17 +32,25 @@ without it — the same pay-for-what-you-use guarantee as
 :mod:`repro.faults`.
 """
 
-from .admission import (
-    AdmissionPolicy,
-    BoundedQueueAdmission,
-    TokenBucketAdmission,
-    UnboundedAdmission,
-    make_admission,
-)
-from .breaker import BreakerState, CircuitBreaker
+from .._lazy import lazy_exports
 from .config import QoSConfig
-from .guard import StarvationGuardScheduler
-from .manager import QoSManager
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        ".admission": (
+            "AdmissionPolicy",
+            "BoundedQueueAdmission",
+            "TokenBucketAdmission",
+            "UnboundedAdmission",
+            "make_admission",
+        ),
+        ".breaker": ("BreakerState", "CircuitBreaker"),
+        ".guard": ("StarvationGuardScheduler",),
+        ".manager": ("QoSManager",),
+    },
+)
 
 __all__ = [
     "AdmissionPolicy",

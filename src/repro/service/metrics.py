@@ -9,8 +9,6 @@ as steady-state averages after a warm-up window, plus diagnostics
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional
 
@@ -98,6 +96,9 @@ def report_digest(report: MetricsReport) -> str:
     bit-identical.  Golden-hash regression tests pin these digests to
     prove optimization passes introduce zero behavioural drift.
     """
+    import hashlib
+    import json
+
     payload = json.dumps(dataclasses.asdict(report), sort_keys=True, default=str)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 

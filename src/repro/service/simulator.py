@@ -50,23 +50,24 @@ and the tracer is called only when one is attached.  The cold paths
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
 from ..core.base import MajorDecision, Scheduler, SchedulerContext
 from ..core.envelope import EnvelopeScheduler
 from ..core.pending import PendingList
 from ..core.sweep import ServiceEntry
 from ..des import Environment, Event, Resource
-from ..faults.injector import FaultInjector
-from ..faults.masking import FaultMaskedCatalog
-from ..faults.retry import RetryPolicy
 from ..layout.catalog import BlockCatalog
-from ..obs.tracer import Tracer
-from ..qos.manager import QoSManager
 from ..tape.jukebox import Jukebox
 from ..workload.requests import Request
 from .metrics import MetricsCollector, MetricsReport
 from .multidrive import ClaimFilteredPending
+
+if TYPE_CHECKING:
+    from ..faults.injector import FaultInjector
+    from ..faults.retry import RetryPolicy
+    from ..obs.tracer import Tracer
+    from ..qos.manager import QoSManager
 
 
 class JukeboxSimulator:
@@ -136,6 +137,8 @@ class JukeboxSimulator:
             # the catalog through the fault mask, so a tape taken out of
             # service or a copy discovered bad vanishes from the next
             # scheduling decision.
+            from ..faults.masking import FaultMaskedCatalog
+
             masked_tapes = faults.failed_tapes
             catalog = FaultMaskedCatalog(
                 catalog, masked_tapes, faults.known_bad, notifier=faults

@@ -1,15 +1,23 @@
 """Online statistics substrate for the simulation metric collectors."""
 
-from .batchmeans import (
-    BatchMeans,
-    ConfidenceInterval,
-    batch_means_interval,
-    t_quantile_975,
-)
+from .._lazy import lazy_exports
 from .histogram import Histogram, exact_percentile
 from .online import RunningStats
 from .timeweighted import TimeWeightedStats
-from .warmup import WarmupFilter
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        ".batchmeans": (
+            "BatchMeans",
+            "ConfidenceInterval",
+            "batch_means_interval",
+            "t_quantile_975",
+        ),
+        ".warmup": ("WarmupFilter",),
+    },
+)
 
 __all__ = [
     "BatchMeans",

@@ -1,16 +1,24 @@
 """Workload substrate: request records, skew model, and arrival sources."""
 
+from .._lazy import lazy_exports
 from .closed import ClosedSource
-from .clustered import ClusteredClosedSource
 from .open import OpenSource
 from .requests import Request, RequestFactory
 from .skew import HotColdSkew, UniformSkew
-from .zipf import ZipfSkew
-from .trace import (
-    ClosedReplaySource,
-    OpenReplaySource,
-    TraceRecord,
-    TraceRecorder,
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        ".clustered": ("ClusteredClosedSource",),
+        ".zipf": ("ZipfSkew",),
+        ".trace": (
+            "ClosedReplaySource",
+            "OpenReplaySource",
+            "TraceRecord",
+            "TraceRecorder",
+        ),
+    },
 )
 
 __all__ = [
