@@ -23,7 +23,12 @@ the paths the closed-loop Figure-4 point misses: robot picks exhausting
 their retries (a tape taken out of service mid-exchange) together with
 drive repairs, and open arrivals with deadline expiry.  One case keeps
 the default-config digest that the retired jukebox-farm and federation
-runners were pinned to.
+runners were pinned to.  Two more cases run the serpentine model, whose
+pricing goes through the timing model's own methods, under the families
+the Figure-4 serpentine pin misses: ``fig8_envelope_serpentine`` (the
+envelope's step-3 scan and arrival pricing) and
+``fig4_exact_batch_serpentine`` (the exact planner's transition rows
+and its tape-level bound; closed Q-20 keeps it quick).
 
 To re-pin after an *intentional* behaviour change, print fresh digests:
 
@@ -87,6 +92,10 @@ CASES = {
         qos=QoSConfig(deadline_s=4000.0, starvation_age_s=6000.0),
     ),
     "fig4_serpentine": FIG4.with_(drive_technology="serpentine"),
+    "fig8_envelope_serpentine": FIG8.with_(drive_technology="serpentine"),
+    "fig4_exact_batch_serpentine": FIG4.with_(
+        scheduler="exact-batch", drive_technology="serpentine", queue_length=20
+    ),
     "fig4_multidrive": FIG4.with_(
         drive_count=2, tape_count=8, capacity_mb=2000.0
     ),
@@ -217,6 +226,10 @@ GOLDEN = {
     # to reproduce it byte for byte; both runners are retired, and this
     # is the one plain run they reduced to.
     "pass_through_q24": "8982dcd263ac6513fc22a596e5d8d0c120920df13455b020177694a11907b6bb",
+    # Serpentine under the envelope and exact-batch families, pinned
+    # before their method-call pricing was folded into one kernel.
+    "fig8_envelope_serpentine": "976f510b3eb1f68ad323a824e640d091841543329f3b81d844bc041285336429",
+    "fig4_exact_batch_serpentine": "cbc886d793010dd31059b2f6859b5990c72e53b2a865e9c4dbbfc8889ccd262c",
 }
 
 
