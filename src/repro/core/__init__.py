@@ -1,5 +1,6 @@
 """The paper's core contribution: tape jukebox retrieval scheduling."""
 
+from .._lazy import lazy_exports
 from .base import MajorDecision, Scheduler, SchedulerContext, coalesce_entries
 from .cost import (
     ExtensionCostTracker,
@@ -9,25 +10,6 @@ from .cost import (
     sweep_cost,
 )
 from .dynamic import DynamicScheduler
-from .exact import (
-    BatchPlan,
-    BestPassScheduler,
-    DEFAULT_NODE_BUDGET,
-    ExactBatchScheduler,
-    GreedyCostScheduler,
-    OrderedServiceList,
-    best_pass_order,
-    greedy_cost_order,
-    optimal_order,
-    order_cost,
-    reverse_first_order,
-    sweep_order,
-)
-from .envelope import (
-    EnvelopeComputer,
-    EnvelopeScheduler,
-    EnvelopeState,
-)
 from .fifo import FifoScheduler
 from .pending import PendingList
 from .policies import (
@@ -44,6 +26,30 @@ from .policies import (
 from .registry import make_scheduler, scheduler_names
 from .static_ import StaticScheduler
 from .sweep import ServiceEntry, ServiceList, SweepPhase
+
+# The envelope and LTSP families load when a run or a caller first asks
+# for them; the static, dynamic and FIFO families never need them.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        ".envelope": ("EnvelopeComputer", "EnvelopeScheduler", "EnvelopeState"),
+        ".exact": (
+            "BatchPlan",
+            "BestPassScheduler",
+            "DEFAULT_NODE_BUDGET",
+            "ExactBatchScheduler",
+            "GreedyCostScheduler",
+            "OrderedServiceList",
+            "best_pass_order",
+            "greedy_cost_order",
+            "optimal_order",
+            "order_cost",
+            "reverse_first_order",
+            "sweep_order",
+        ),
+    },
+)
 
 __all__ = [
     "BatchPlan",

@@ -35,13 +35,12 @@ per-block replica cache and the per-tape candidate rows, sorted by
 rows between decisions only moved the same work into the pending list's
 append/remove path: measured end to end on the Fig. 8 regime it saved
 nothing, so the rebuild is the only path.  Inside one compute, the
-step-3 search evaluates incremental bandwidth through flattened timing
-constants (:func:`~repro.core.cost.extension_constants`) instead of
-per-length tracker calls, keeps each tape's candidate list across
-rounds until its envelope or candidate set moves, and the absorb rescan
-after an extension only visits requests whose replica on the extended
-tape newly fell inside the envelope — the only requests whose
-absorption status can change.
+step-3 search prices each tape's prefixes with one call to the timing
+model's pricing kernel (:func:`~repro.core.cost.pricing_kernel`), keeps
+each tape's candidate list and result across rounds until its envelope
+or candidate set moves, and the absorb rescan after an extension only
+visits requests whose replica on the extended tape newly fell inside
+the envelope — the only requests whose absorption status can change.
 
 The decision then reads each tape's satisfiable set off those rows
 (:meth:`EnvelopeComputer.satisfiable_rows`): the rows are sorted by
@@ -51,10 +50,8 @@ block positions are that prefix without repeats, and the winner's
 requests return to arrival order with one filter of the snapshot.  An
 arrival during a sweep can only join it through the mounted tape, so a
 block without a copy there goes straight to the pending list; otherwise
-the one-block kernel (:func:`~repro.core.cost.extension_bandwidth`)
-prices the copies outside their envelopes until one beats the mounted
-copy.  A timing model without flattened constants keeps the tracker
-and prices every copy.
+the kernel's one-block extension bandwidth prices the copies outside
+their envelopes until one beats the mounted copy.
 """
 
 from __future__ import annotations
@@ -63,19 +60,13 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import itemgetter
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..layout.catalog import BlockCatalog, Replica
 from ..tape.timing import DriveTimingModel
 from ..workload.requests import Request
 from .base import MajorDecision, Scheduler, SchedulerContext, coalesce_entries
-from .cost import (
-    MB,
-    ExtensionConstants,
-    ExtensionCostTracker,
-    extension_bandwidth,
-    extension_constants,
-)
+from .cost import HelicalKernel, MethodKernel, pricing_kernel
 from .policies import SelectionContext, TapeSelectionPolicy, jukebox_order
 from .sweep import ServiceEntry
 
@@ -413,16 +404,11 @@ class EnvelopeComputer:
     ) -> Optional[Tuple[int, List[_Row]]]:
         """Step 3: the (tape, prefix) with maximal incremental bandwidth.
 
-        The fast path flattens the timing model into constants and runs
-        the per-length bandwidth recurrence call-free, evaluating the
-        exact float expressions :class:`ExtensionCostTracker` would
-        have.  Prefix lengths ending on a coalesced duplicate position
-        are skipped outright: they add a request but no read, so their
-        key equals the previous length's and a strict comparison could
-        never have selected them.  Within a tape the scheduled-count
-        and rank tie-break keys are constants, so the per-tape winner
-        is the first length attaining the maximum bandwidth — the same
-        element the per-length scan selected.
+        Each tape's candidates go through the pricing kernel's prefix
+        scan once.  Within a tape the scheduled-count and rank
+        tie-break keys are constants, so the per-tape winner is the
+        first length attaining the maximum bandwidth — the same element
+        a per-length scan over ``(bandwidth, count, -rank)`` selects.
 
         ``cache`` holds, per tape, ``(live_rows, bandwidth, length)``
         from earlier rounds of the same compute — ``live_rows`` being
@@ -437,23 +423,7 @@ class EnvelopeComputer:
         way.  The cross-tape tie-break (scheduled count, jukebox rank)
         is re-evaluated every round from live state, cached or not.
         """
-        constants = extension_constants(self._timing, self._block_mb)
-        if constants is None:
-            return self._best_extension_tracked(unscheduled, state, rank)
-        block_mb = self._block_mb
-        thr = constants.short_threshold_mb
-        fwd_short_b = constants.forward_short_startup
-        fwd_short_r = constants.forward_short_rate
-        fwd_long_b = constants.forward_long_startup
-        fwd_long_r = constants.forward_long_rate
-        rev_short_b = constants.reverse_short_startup
-        rev_short_r = constants.reverse_short_rate
-        rev_long_b = constants.reverse_long_startup
-        rev_long_r = constants.reverse_long_rate
-        bot_s = constants.bot_overhead_s
-        read_plain = constants.read_plain_s
-        read_startup = constants.read_startup_s
-        full_switch = constants.switch_s
+        best_prefix = pricing_kernel(self._timing, self._block_mb).best_prefix
         mounted = self._mounted_id
         scheduled_count = state.scheduled_count
         state_envelope = state.envelope
@@ -492,56 +462,12 @@ class EnvelopeComputer:
             if not live:
                 cache[tape_id] = ((), None, 0)
                 continue
-            switch_s = (
-                full_switch if envelope == 0.0 and tape_id != mounted else 0.0
+            bandwidth, length = best_prefix(
+                envelope,
+                envelope == 0.0 and tape_id != mounted,
+                map(_row_position, live),
             )
-            lands_on_bot = envelope == 0
-            head = envelope
-            startup_pending = True
-            outbound = 0.0
-            reads = 0
-            length = 0
-            tape_best_bandwidth: Optional[float] = None
-            tape_best_length = 0
-            previous_position: Optional[float] = None
-            for row in live:
-                position = row[0]
-                length += 1
-                if position == previous_position:
-                    continue  # same physical block: identical cost and reads
-                previous_position = position
-                if position < head - block_mb:
-                    raise ValueError(
-                        f"extension list not sorted: {position} behind head {head}"
-                    )
-                distance = position - head
-                if distance > 0:
-                    outbound += (
-                        fwd_short_b + fwd_short_r * distance
-                        if distance <= thr
-                        else fwd_long_b + fwd_long_r * distance
-                    )
-                    startup_pending = True
-                outbound += read_startup if startup_pending else read_plain
-                startup_pending = False
-                head = position + block_mb
-                reads += 1
-                return_distance = head - envelope
-                return_s = (
-                    rev_short_b + rev_short_r * return_distance
-                    if return_distance <= thr
-                    else rev_long_b + rev_long_r * return_distance
-                )
-                if lands_on_bot:
-                    return_s += bot_s
-                cost = (switch_s + outbound) + return_s
-                bandwidth = (
-                    reads * block_mb * MB / cost if cost > 0 else float("inf")
-                )
-                if tape_best_bandwidth is None or bandwidth > tape_best_bandwidth:
-                    tape_best_bandwidth = bandwidth
-                    tape_best_length = length
-            cache[tape_id] = (live, tape_best_bandwidth, tape_best_length)
+            cache[tape_id] = (live, bandwidth, length)
 
         best_key: Optional[Tuple[float, int, int]] = None
         best_tape = -1
@@ -560,48 +486,6 @@ class EnvelopeComputer:
         # The winning prefix, straight off the cached live rows (losing
         # tapes never materialize anything beyond their live list).
         return best_tape, cache[best_tape][0][:best_length]
-
-    def _best_extension_tracked(
-        self,
-        unscheduled: List[Request],
-        state: EnvelopeState,
-        rank: Dict[int, int],
-    ) -> Optional[Tuple[int, List[_Row]]]:
-        """The tracker-based step-3 scan (non-standard timing models)."""
-        best_key: Optional[Tuple[float, int, int]] = None
-        best: Optional[Tuple[int, List[_Row]]] = None
-        unscheduled_ids = {request.request_id for request in unscheduled}
-        by_tape = self._by_tape
-        for tape_id in range(self._tape_count):
-            rows = by_tape.get(tape_id)
-            if not rows:
-                continue
-            envelope = state.envelope[tape_id]
-            start = bisect_left(rows, envelope, key=_row_position)
-            extension = [row for row in rows[start:] if row[1] in unscheduled_ids]
-            if not extension:
-                continue
-            charge_switch = envelope == 0.0 and tape_id != self._mounted_id
-            tracker = ExtensionCostTracker(
-                self._timing, envelope, self._block_mb, charge_switch
-            )
-            for length in range(1, len(extension) + 1):
-                position = extension[length - 1][0]
-                # Coalesced duplicate blocks add requests but only one read.
-                if length >= 2 and position == extension[length - 2][0]:
-                    pass  # same physical block: no extra read cost
-                else:
-                    tracker.extend(position)
-                bandwidth = tracker.prefix_bandwidth()
-                key = (
-                    bandwidth,
-                    state.scheduled_count.get(tape_id, 0),
-                    -rank[tape_id],
-                )
-                if best_key is None or key > best_key:
-                    best_key = key
-                    best = (tape_id, extension[:length])
-        return best
 
     def _shrink(
         self,
@@ -811,16 +695,12 @@ class EnvelopeScheduler(Scheduler):
         # Otherwise apply steps 3-5 for this single request: the sweep
         # takes it only when extending the mounted tape's envelope is the
         # cheapest extension covering it.
-        timing = context.pricing_timing
-        constants = extension_constants(timing, block_mb)
-        if constants is None:
-            replica = self._cheapest_copy_tracked(context, request, timing)
-            extends = replica is not None and replica.tape_id == mounted
-        else:
-            extends = replica is not None and self._mounted_copy_wins(
-                constants, catalog.replicas_of(request.block_id), replica, block_mb
-            )
-        if extends:
+        if replica is not None and self._mounted_copy_wins(
+            pricing_kernel(context.pricing_timing, block_mb),
+            catalog.replicas_of(request.block_id),
+            replica,
+            block_mb,
+        ):
             if self._insert_into_sweep(service, request, replica):
                 envelope[mounted] = max(
                     envelope.get(mounted, 0.0), replica.position_mb + block_mb
@@ -831,7 +711,7 @@ class EnvelopeScheduler(Scheduler):
 
     def _mounted_copy_wins(
         self,
-        constants: ExtensionConstants,
+        kernel: Union[HelicalKernel, MethodKernel],
         replicas: Sequence[Replica],
         mounted_copy: Replica,
         block_mb: float,
@@ -839,22 +719,21 @@ class EnvelopeScheduler(Scheduler):
         """Whether the mounted tape's copy, outside its envelope, is the
         cheapest extension covering its block.
 
-        :meth:`_cheapest_copy_tracked` keeps the first copy with the
-        greatest ``(bandwidth, -rank)``, ranking tapes in jukebox order
-        after the mounted one, which ranks the mounted tape last.  So the
-        mounted copy wins exactly when its bandwidth is strictly greater
-        than every other copy's, a copy inside its tape's envelope
-        counting as infinite, and no rank is needed.  The one-block
-        kernel is pure, so the scan stops at the first copy that wins.
+        Steps 3-5 for one request keep the first copy with the greatest
+        ``(bandwidth, -rank)``, ranking tapes in jukebox order after the
+        mounted one, which ranks the mounted tape last.  So the mounted
+        copy wins exactly when its bandwidth is strictly greater than
+        every other copy's, a copy inside its tape's envelope counting
+        as infinite, and no rank is needed.  Schedulers price with a
+        clean model (:attr:`SchedulerContext.pricing_timing`), so the
+        kernel's one-block bandwidth is pure and the scan stops at the
+        first copy that wins.
         """
         envelope = self._active_envelope
         mounted = mounted_copy.tape_id
+        extension_bandwidth = kernel.extension_bandwidth
         target = extension_bandwidth(
-            constants,
-            envelope.get(mounted, 0.0),
-            block_mb,
-            False,
-            mounted_copy.position_mb,
+            envelope.get(mounted, 0.0), False, mounted_copy.position_mb
         )
         for replica in replicas:
             tape_id = replica.tape_id
@@ -864,51 +743,11 @@ class EnvelopeScheduler(Scheduler):
             if replica.position_mb + block_mb <= tape_envelope:
                 return False
             bandwidth = extension_bandwidth(
-                constants,
-                tape_envelope,
-                block_mb,
-                tape_envelope == 0.0,
-                replica.position_mb,
+                tape_envelope, tape_envelope == 0.0, replica.position_mb
             )
             if bandwidth >= target:
                 return False
         return True
-
-    def _cheapest_copy_tracked(
-        self, context: SchedulerContext, request: Request, timing: DriveTimingModel
-    ) -> Optional[Replica]:
-        """The copy of ``request``'s block with the cheapest envelope
-        extension, priced by :class:`ExtensionCostTracker`.
-
-        The path of timing models without flattened constants: their
-        calls may draw from a random stream (the noisy wrapper), so every
-        copy is priced and no call is skipped.
-        """
-        block_mb = context.block_mb
-        envelope = self._active_envelope
-        mounted = context.mounted_id
-        best_key: Optional[Tuple[float, int]] = None
-        best_replica: Optional[Replica] = None
-        rank = _rank_after(context.tape_count, mounted + 1)
-        for replica in context.catalog.replicas_of(request.block_id):
-            tape_envelope = envelope.get(replica.tape_id, 0.0)
-            if replica.position_mb + block_mb <= tape_envelope:
-                # Inside another tape's envelope: servicing it there needs
-                # no extension, so prefer that tape outright when no
-                # current-tape extension wins; treated as infinite
-                # incremental bandwidth.
-                key = (float("inf"), -rank[replica.tape_id])
-            else:
-                charge_switch = tape_envelope == 0.0 and replica.tape_id != mounted
-                tracker = ExtensionCostTracker(
-                    timing, tape_envelope, block_mb, charge_switch
-                )
-                tracker.extend(replica.position_mb)
-                key = (tracker.prefix_bandwidth(), -rank[replica.tape_id])
-            if best_key is None or key > best_key:
-                best_key = key
-                best_replica = replica
-        return best_replica
 
     def _insert_into_sweep(self, service, request: Request, replica: Replica) -> bool:
         existing = service.find_block(request.block_id)

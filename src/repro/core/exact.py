@@ -36,14 +36,13 @@ per decision minimizes the decision's total response-time contribution.
 All transition arithmetic mirrors :class:`repro.tape.drive.TapeDrive`
 exactly (same rules as :func:`repro.core.cost.sweep_cost`), so planned
 costs equal what the simulated hardware will do.  A batch's transitions
-are built once, as a root vector and a step matrix whose rows come from
-:func:`repro.core.cost.transition_row`: for a plain
-:class:`~repro.tape.timing.DriveTimingModel` that kernel runs call-free
-on the flattened timing constants with the same float expressions as
-the model's methods, and a model subclass keeps the method-call loop.
-The search then runs on those lists alone — rows passed down as
-arguments, precomputed mask bits, integer memo keys — and unwinds with
-an exception when its node budget runs out.
+are built once, as a root vector and a step matrix whose rows are the
+timing model's pricing kernel's transition rows
+(:func:`repro.core.cost.pricing_kernel`), and each candidate tape's
+certified lower bound is that kernel's ``tape_bound``.  The search then
+runs on those lists alone — rows passed down as arguments, precomputed
+mask bits, integer memo keys — and unwinds with an exception when its
+node budget runs out.
 
 The search's node bound is read off the same matrix.  Each block's
 *arrival floor* is the cheapest entry of its column (its root cost, or
@@ -66,7 +65,7 @@ from typing import Callable, Collection, List, Optional, Sequence, Tuple
 from ..tape.timing import DriveTimingModel
 from ..workload.requests import Request
 from .base import MajorDecision, Scheduler, SchedulerContext, coalesce_entries
-from .cost import arrival_span_bound, extension_constants, transition_row
+from .cost import pricing_kernel
 from .policies import jukebox_order
 from .sweep import ServiceEntry, SweepPhase
 
@@ -99,18 +98,20 @@ class _BatchCost:
         "block_mb",
         "read_plain_s",
         "read_startup_s",
-        "constants",
+        "row",
         "_locate_forward",
         "_locate_reverse",
     )
 
     def __init__(self, timing: DriveTimingModel, block_mb: float) -> None:
+        kernel = pricing_kernel(timing, block_mb)
         self.block_mb = float(block_mb)
-        self.read_plain_s = timing.read(block_mb, startup=False)
-        self.read_startup_s = timing.read(block_mb, startup=True)
-        #: Flattened timing constants, or ``None`` for a model subclass,
-        #: whose rows keep the :meth:`step` loop.
-        self.constants = extension_constants(timing, block_mb)
+        self.read_plain_s = kernel.read_plain_s
+        self.read_startup_s = kernel.read_startup_s
+        #: ``row(head_mb, startup_pending, positions)``: ``step(head_mb,
+        #: startup_pending, p)[0]`` for each of ``positions``, bit for
+        #: bit — the pricing kernel's transition row.
+        self.row = kernel.transition_row
         self._locate_forward = timing.locate_forward
         self._locate_reverse = timing.locate_reverse
 
@@ -136,18 +137,6 @@ class _BatchCost:
             seconds = 0.0
         seconds += self.read_startup_s if startup_pending else self.read_plain_s
         return seconds, position_mb + self.block_mb, False
-
-    def row(
-        self, head_mb: float, startup_pending: bool, positions: Sequence[float]
-    ) -> List[float]:
-        """``step(head_mb, startup_pending, p)[0]`` for each of
-        ``positions``, call-free through :func:`transition_row` when the
-        model has flattened constants."""
-        constants = self.constants
-        if constants is None:
-            step = self.step
-            return [step(head_mb, startup_pending, p)[0] for p in positions]
-        return transition_row(constants, head_mb, startup_pending, positions)
 
 
 def _entry_weight(entry: ServiceEntry) -> float:
@@ -229,12 +218,11 @@ class _Transitions:
     The drive state after reading block ``i`` is fully determined (head
     just past ``i``, startup cleared), so every transition cost is
     precomputable: one ``count``-vector for the root state and one
-    ``count x count`` matrix between reads, each row built by
-    :meth:`_BatchCost.row` (call-free on the flattened timing
-    constants), plus per-predecessor child orders (cheapest
-    time-per-weight first, ties by position, then by index).  Orders
-    are index lists into ``items`` (the entries sorted by position,
-    then block id).
+    ``count x count`` matrix between reads, each row the pricing
+    kernel's transition row (:attr:`_BatchCost.row`), plus
+    per-predecessor child orders (cheapest time-per-weight first, ties
+    by position, then by index).  Orders are index lists into ``items``
+    (the entries sorted by position, then block id).
     """
 
     __slots__ = (
@@ -507,49 +495,6 @@ def optimal_order(
     )
 
 
-def _tape_lower_bound(
-    model: _BatchCost,
-    head_mb: float,
-    positions: Sequence[float],
-    served: float,
-    deferred_weight: float,
-    overhead_s: float,
-) -> float:
-    """Lower bound on a tape's normalized decision cost, any read order.
-
-    ``positions`` holds one start position per distinct block.  For a
-    model with flattened constants this is
-    :func:`~repro.core.cost.arrival_span_bound`, which charges each
-    later read its cheapest arrival from a neighbouring block and the
-    deferred weight a bound on the whole batch's makespan.  A model
-    subclass (serpentine) keeps the plain-read bound: all ``served +
-    deferred_weight`` requests wait through the switch overhead and the
-    first read, which costs at least the cheapest root transition (a
-    sweep starts with the read startup pending); each of the other
-    ``k - 1`` reads costs at least one plain read, while at least
-    ``deferred_weight + m`` requests still wait when ``m`` blocks
-    remain.  Dividing by ``served`` matches the per-request
-    normalization of :meth:`_BatchScheduler.major_reschedule`.
-    """
-    constants = model.constants
-    if constants is not None:
-        return arrival_span_bound(
-            constants,
-            model.block_mb,
-            float(head_mb),
-            positions,
-            served,
-            deferred_weight,
-            overhead_s,
-        )
-    charged = served + deferred_weight
-    first_read = min(model.row(float(head_mb), True, positions))
-    later_waiting = sum(deferred_weight + m for m in range(1, len(positions)))
-    return (
-        overhead_s * charged + charged * first_read + model.read_plain_s * later_waiting
-    ) / served
-
-
 class OrderedServiceList:
     """Executes a precomputed read order; interface-compatible with
     :class:`~repro.core.sweep.ServiceList`.
@@ -702,7 +647,7 @@ class _BatchScheduler(Scheduler):
         timing, block_mb, tape_count = context.run_pricing()
         self._timing = timing
         self._block_mb = block_mb
-        model = _BatchCost(timing, block_mb)
+        tape_bound = pricing_kernel(timing, block_mb).tape_bound
         total = float(len(context.pending))
         mounted = context.mounted_id
         anchor = mounted if mounted is not None else 0
@@ -734,8 +679,8 @@ class _BatchScheduler(Scheduler):
                 request.block_id: position
                 for request, position in zip(requests, positions_on(tape_id))
             }
-            bound = _tape_lower_bound(
-                model, head, list(positions.values()), served, deferred, overhead_s
+            bound = tape_bound(
+                float(head), list(positions.values()), served, deferred, overhead_s
             )
             options.append((bound, rank, tape_id, requests, head, deferred, overhead_s))
         # Tape-level branch and bound: plan tapes in ascending bound order

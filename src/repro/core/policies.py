@@ -13,7 +13,7 @@ from typing import Callable, Collection, List, Mapping, Optional
 
 from ..tape.timing import DriveTimingModel
 from ..workload.requests import Request
-from .cost import MB, effective_bandwidth, extension_constants, flat_sweep
+from .cost import MB, pricing_kernel
 
 
 def jukebox_order(tape_count: int, start_at: int) -> List[int]:
@@ -108,16 +108,15 @@ class MaxRequests(TapeSelectionPolicy):
 class MaxBandwidth(TapeSelectionPolicy):
     """Tape with the highest effective bandwidth for its candidate schedule.
 
-    For a plain :class:`DriveTimingModel` every candidate is priced in
-    one pass straight off ``positions_for``: the flattened constants and
-    the switch overhead are taken once per decision, and each tape costs
-    one :func:`~repro.core.cost.flat_sweep` plus the seconds and
-    bandwidth expressions of :func:`~repro.core.cost.schedule_time` and
+    Every candidate is priced in one pass straight off ``positions_for``
+    with the timing model's pricing kernel and the switch overhead, both
+    taken once per decision: each tape costs one kernel sweep plus the
+    seconds and bandwidth expressions of
+    :func:`~repro.core.cost.schedule_time` and
     :func:`~repro.core.cost.effective_bandwidth`, in the same order, so
-    every bandwidth is bit-identical.  Candidates are visited in the
-    mapping's order and ranked by jukebox order, so the first strict
-    maximum in jukebox order still wins.  Any other timing model (e.g.
-    serpentine) keeps the method calls.
+    every bandwidth is bit-identical to theirs.  Candidates are visited
+    in the mapping's order and ranked by jukebox order, so the first
+    strict maximum in jukebox order wins.
     """
 
     name = "max-bandwidth"
@@ -125,9 +124,7 @@ class MaxBandwidth(TapeSelectionPolicy):
     def select(self, context: SelectionContext) -> Optional[int]:
         timing = context.timing
         block_mb = context.block_mb
-        constants = extension_constants(timing, block_mb)
-        if constants is None:
-            return self._select_by_methods(context)
+        sweep = pricing_kernel(timing, block_mb).sweep
         candidates = context.candidates
         positions_for = context.positions_for
         mounted_id = context.mounted_id
@@ -151,14 +148,10 @@ class MaxBandwidth(TapeSelectionPolicy):
             positions = positions_for(tape_id)
             if positions:
                 if tape_id == mounted_id:
-                    locate_s, read_s, _ = flat_sweep(
-                        constants, head_mb, sorted(positions), block_mb, True
-                    )
+                    locate_s, read_s, _ = sweep(head_mb, sorted(positions), True)
                     seconds = locate_s + read_s
                 else:
-                    locate_s, read_s, _ = flat_sweep(
-                        constants, 0.0, sorted(positions), block_mb, True
-                    )
+                    locate_s, read_s, _ = sweep(0.0, sorted(positions), True)
                     seconds = switch_s + (locate_s + read_s)
                 if seconds <= 0:
                     bandwidth = float("inf")
@@ -172,31 +165,6 @@ class MaxBandwidth(TapeSelectionPolicy):
                 bandwidth == best_bandwidth and rank < best_rank
             ):
                 best, best_rank, best_bandwidth = tape_id, rank, bandwidth
-        return best
-
-    def _select_by_methods(self, context: SelectionContext) -> Optional[int]:
-        """The timing model's own methods price each tape, in jukebox order."""
-        timing = context.timing
-        block_mb = context.block_mb
-        mounted_id = context.mounted_id
-        head_mb = context.head_mb
-        positions_for = context.positions_for
-        switch_s = timing.switch_with_rewind(
-            head_mb if mounted_id is not None else 0.0
-        )
-        best: Optional[int] = None
-        best_bandwidth = -1.0
-        for tape_id in context.tapes_with_requests():
-            bandwidth = effective_bandwidth(
-                timing,
-                positions_for(tape_id),
-                block_mb,
-                mounted=(tape_id == mounted_id),
-                head_mb=head_mb,
-                switch_s=switch_s,
-            )
-            if bandwidth > best_bandwidth:
-                best, best_bandwidth = tape_id, bandwidth
         return best
 
 

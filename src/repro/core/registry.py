@@ -15,12 +15,11 @@ Schedulers carry per-sweep state, so every lookup returns a new instance.
 
 from __future__ import annotations
 
+import importlib
 from typing import Callable, Dict, List
 
 from .base import Scheduler
 from .dynamic import DynamicScheduler
-from .envelope import EnvelopeScheduler
-from .exact import BestPassScheduler, ExactBatchScheduler, GreedyCostScheduler
 from .fifo import FifoScheduler
 from .policies import (
     MaxBandwidth,
@@ -54,12 +53,20 @@ def _build_registry() -> Dict[str, Callable[[], Scheduler]]:
     for policy_name in _ENVELOPE_POLICIES:
         policy_factory = _POLICY_FACTORIES[policy_name]
         registry[f"envelope-{policy_name}"] = (
-            lambda factory=policy_factory: EnvelopeScheduler(factory())
+            lambda factory=policy_factory: _family("envelope").EnvelopeScheduler(
+                factory()
+            )
         )
-    registry["exact-batch"] = ExactBatchScheduler
-    registry["approx-greedy-cost"] = GreedyCostScheduler
-    registry["approx-best-pass"] = BestPassScheduler
+    registry["exact-batch"] = lambda: _family("exact").ExactBatchScheduler()
+    registry["approx-greedy-cost"] = lambda: _family("exact").GreedyCostScheduler()
+    registry["approx-best-pass"] = lambda: _family("exact").BestPassScheduler()
     return registry
+
+
+def _family(module: str):
+    """A scheduler family's module, imported by its factories so that a
+    run of another family never loads it."""
+    return importlib.import_module(f".{module}", __package__)
 
 
 _REGISTRY = _build_registry()

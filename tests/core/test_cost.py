@@ -16,12 +16,7 @@ from repro.core import (
     schedule_time,
     sweep_cost,
 )
-from repro.core.cost import (
-    MB,
-    extension_bandwidth,
-    extension_constants,
-    transition_row,
-)
+from repro.core.cost import MB, HelicalKernel, MethodKernel, pricing_kernel
 from repro.core.exact import _BatchCost
 from repro.tape import EXB_8505XL, DriveTimingModel, Jukebox
 from repro.workload import RequestFactory
@@ -185,8 +180,8 @@ class TestExtensionCostTracker:
 
 
 class _MethodCallTiming(DriveTimingModel):
-    """A trivial subclass: not eligible for flattened constants, so every
-    cost through it takes the method-call loop."""
+    """A trivial subclass: it gets the method kernel, so every cost
+    through it takes the method-call loop."""
 
 
 def _method_call_twin(timing):
@@ -291,8 +286,10 @@ class TestKernelTwin:
 
     def test_fallback_is_taken_only_for_subclasses(self):
         for timing in _MODELS:
-            assert extension_constants(timing, BLOCK) is not None
-            assert extension_constants(_method_call_twin(timing), BLOCK) is None
+            assert isinstance(pricing_kernel(timing, BLOCK), HelicalKernel)
+            assert isinstance(
+                pricing_kernel(_method_call_twin(timing), BLOCK), MethodKernel
+            )
 
     @settings(max_examples=300, deadline=None)
     @given(sweep=_sweeps())
@@ -315,14 +312,14 @@ class TestKernelTwin:
         cleared), where threshold-distance targets land too."""
         timing, block_mb, head_mb, positions, startup_pending = sweep
         model = _BatchCost(timing, block_mb)
-        constants = extension_constants(timing, block_mb)
+        kernel = pricing_kernel(timing, block_mb)
         states = [(head_mb, startup_pending)] + [
             (position + block_mb, False) for position in positions
         ]
         for head, startup in states:
             expected = [model.step(head, startup, p)[0].hex() for p in positions]
             for row in (
-                transition_row(constants, head, startup, positions),
+                kernel.transition_row(head, startup, positions),
                 model.row(head, startup, positions),
             ):
                 assert [seconds.hex() for seconds in row] == expected
@@ -344,7 +341,7 @@ class TestKernelTwin:
                 **{f.name: getattr(timing, f.name) for f in dataclasses.fields(timing)}
             )
             model = _BatchCost(counting, BLOCK)
-            assert model.constants is None
+            assert isinstance(pricing_kernel(counting, BLOCK), MethodKernel)
             CountingTiming.distances.clear()
             row = model.row(100.0, True, positions)
             assert CountingTiming.distances == [400.0]
@@ -491,12 +488,8 @@ class TestExtensionKernelTwin:
             return tracker.prefix_bandwidth()
 
         def flat():
-            return extension_bandwidth(
-                extension_constants(timing, block_mb),
-                envelope_mb,
-                block_mb,
-                charge_switch,
-                position_mb,
+            return pricing_kernel(timing, block_mb).extension_bandwidth(
+                envelope_mb, charge_switch, position_mb
             )
 
         assert _outcome(flat) == _outcome(tracked)

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 
 import pytest
 
-from repro.core.cost import ExtensionCostTracker, extension_constants
+from repro.core.cost import ExtensionCostTracker, MethodKernel, pricing_kernel
 from repro.core.envelope import EnvelopeComputer, EnvelopeState
 from repro.core.policies import jukebox_order
 from repro.layout.catalog import BlockCatalog, Replica
@@ -298,8 +298,8 @@ class _TrackedTiming(DriveTimingModel):
 
 
 #: A field-for-field copy of EXB_8505XL that is not exactly a
-#: ``DriveTimingModel``, so the computer takes its tracker-based step-3
-#: scan (the path serpentine and noisy timing models use).
+#: ``DriveTimingModel``, so the computer prices through the method
+#: kernel's tracker-based step-3 scan (the path serpentine models use).
 TRACKED_EXB_8505XL = _TrackedTiming(
     **{field.name: getattr(EXB_8505XL, field.name) for field in fields(EXB_8505XL)}
 )
@@ -319,7 +319,7 @@ CASES = [
 def test_optimized_matches_reference(
     seed, tape_count, n_blocks, n_requests, mounted, head_mb, shrink, timing
 ):
-    tracked = extension_constants(timing, 1.0) is None
+    tracked = isinstance(pricing_kernel(timing, 1.0), MethodKernel)
     assert tracked == (timing is TRACKED_EXB_8505XL)
     rng = random.Random(seed)
     catalog = random_catalog(rng, tape_count, n_blocks)

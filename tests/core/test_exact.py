@@ -48,14 +48,13 @@ from repro.core import (
 )
 from repro.core import exact as exact_module
 from repro.core.base import coalesce_entries
-from repro.core.cost import arrival_span_bound
+from repro.core.cost import MethodKernel, pricing_kernel
 from repro.core.exact import (
     _BatchCost,
     _BatchScheduler,
     _Transitions,
     _entry_weight,
     _split_passes,
-    _tape_lower_bound,
 )
 from repro.core.policies import jukebox_order
 from repro.core.sweep import ServiceEntry
@@ -513,7 +512,6 @@ def reference_decision(scheduler, context):
     """
     timing = context.jukebox.timing
     block_mb = context.block_mb
-    model = _BatchCost(timing, block_mb)
     candidates = context.pending.candidate_tapes()
     total = float(len(context.pending))
     mounted = context.mounted_id
@@ -537,9 +535,8 @@ def reference_decision(scheduler, context):
             timing, head, order, block_mb, deferred_weight=deferred
         )
         cost /= served
-        bound = _tape_lower_bound(
-            model,
-            head,
+        bound = pricing_kernel(timing, block_mb).tape_bound(
+            float(head),
             [entry.position_mb for entry in entries],
             served,
             deferred,
@@ -737,9 +734,8 @@ def exhaustive_normalized_cost(
 
 def tape_bound(timing, block_mb, head_mb, entries, deferred, overhead_s):
     served = float(sum(len(entry.requests) for entry in entries))
-    return _tape_lower_bound(
-        _BatchCost(timing, block_mb),
-        head_mb,
+    return pricing_kernel(timing, block_mb).tape_bound(
+        float(head_mb),
         [entry.position_mb for entry in entries],
         served,
         deferred,
@@ -858,19 +854,18 @@ class TestArrivalSpanBound:
         """Every floor is at least one plain read, so the bound never
         falls below the one a model subclass keeps."""
         rng = random.Random(23)
-        model = _BatchCost(TIMING, BLOCK_MB)
-        # Without flattened constants the same model takes the
-        # plain-read bound, as a timing-model subclass does.
-        plain_model = _BatchCost(TIMING, BLOCK_MB)
-        plain_model.constants = None
+        kernel = pricing_kernel(TIMING, BLOCK_MB)
+        # The method kernel over the same model takes the plain-read
+        # bound, as a timing-model subclass does.
+        plain_kernel = MethodKernel(TIMING, BLOCK_MB)
         for _ in range(40):
             spec, head, deferred, _ = random_instance(rng, rng.randint(1, 8))
             positions = [place for place, _ in spec]
             served = float(len(spec))
             for overhead_s in (0.0, TIMING.switch_with_rewind(0.0)):
-                args = (head, positions, served, deferred, overhead_s)
-                bound = _tape_lower_bound(model, *args)
-                plain = _tape_lower_bound(plain_model, *args)
+                args = (float(head), positions, served, deferred, overhead_s)
+                bound = kernel.tape_bound(*args)
+                plain = plain_kernel.tape_bound(*args)
                 assert bound >= plain * (1.0 - 1e-12)
 
 
@@ -1105,9 +1100,7 @@ def check_against_oracle(timing, block_mb, head, entries, deferred, startup, pla
     weights = transitions.weights
     if startup and entries and min(weights) >= 1.0:
         served = sum(weights)
-        bound = arrival_span_bound(
-            model.constants,
-            block_mb,
+        bound = pricing_kernel(timing, block_mb).tape_bound(
             float(head),
             [entry.position_mb for entry in transitions.items],
             served,

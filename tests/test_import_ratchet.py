@@ -9,6 +9,10 @@ write-back loop, batch statistics, the noisy and serpentine drives, the
 alternative workloads and the lifecycle planner.  A short run of each
 scheduler family (and a faulted open-loop multi-drive run) must leave
 every one of them unloaded.  The list may only grow.
+
+``FAMILY_DEFERRED`` lists the scheduler families only their own runs
+load: FIFO, dynamic and a faulted open-loop multi-drive run must leave
+the envelope and LTSP modules unloaded.  It may only grow too.
 """
 
 import json
@@ -54,6 +58,13 @@ DEFERRED = (
     "repro.des.monitor",
 )
 
+#: Scheduler families a FIFO or dynamic run must not load.  Grow it;
+#: never shrink it.
+FAMILY_DEFERRED = (
+    "repro.core.envelope",
+    "repro.core.exact",
+)
+
 #: The fault layer a fault-free run must not load.
 FAULT_LAYER = (
     "repro.faults.errors",
@@ -97,6 +108,25 @@ print(json.dumps({
     "plain": plain,
     "traced": loaded(["repro.obs.tracer"]),
 }))
+"""
+
+FAMILY_PROBE = """
+import json, sys
+from repro import ExperimentConfig, run
+from repro.faults import FaultConfig
+
+short = dict(horizon_s=3000.0)
+for config in (
+    ExperimentConfig(scheduler="fifo", queue_length=20, **short),
+    ExperimentConfig(scheduler="dynamic-max-bandwidth", queue_length=20, **short),
+    ExperimentConfig(
+        scheduler="dynamic-max-bandwidth", queue_length=None,
+        mean_interarrival_s=70.0, drive_count=3, replicas=2,
+        faults=FaultConfig(media_error_rate=0.01), **short,
+    ),
+):
+    assert run(config).report.completed > 0
+print(json.dumps(sorted(name for name in FAMILY_DEFERRED if name in sys.modules)))
 """
 
 SURFACE = """
@@ -152,6 +182,10 @@ def test_plain_runs_leave_optional_layers_unloaded():
     assert probe["plain"] == []
     # ... and attaching a tracer is what loads it.
     assert probe["traced"] == ["repro.obs.tracer"]
+
+
+def test_other_families_leave_envelope_and_exact_unloaded():
+    assert fresh(FAMILY_PROBE, FAMILY_DEFERRED=FAMILY_DEFERRED) == []
 
 
 def test_every_package_export_resolves():
